@@ -12,18 +12,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import statistics
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from time import perf_counter
 
 from .exact import ORACLE_SIZE_WARNING, BcResult, brandes_exact, oracle_bc
 from .graph import (
     Graph,
-    GraphFormatError,
-    GraphParseError,
+    peel,
     peel_diagnostics,
     read_graph,
     write_edge_list,
@@ -80,26 +81,24 @@ class RunRecord:
         return obj
 
     def to_csv_row(self, include_timing: bool = False) -> list[str]:
-        obj = self.to_json_obj(include_timing=True)
-        row = []
-        for name in self.CSV_FIELDS:
-            if name == "elapsed" and not include_timing:
-                row.append("")
-                continue
-            value = obj[name]
-            if name == "round_fractions":
-                row.append(";".join(_fmt(x) for x in value))
-            elif value is None:
-                row.append("")
-            elif isinstance(value, float):
-                row.append(_fmt(value))
-            else:
-                row.append(str(value))
-        return row
+        obj = self.to_json_obj(include_timing=include_timing)
+        return [_csv_cell(obj.get(name)) for name in self.CSV_FIELDS]
 
 
 def _fmt(x: float) -> str:
     return format(x, ".12g")
+
+
+def _csv_cell(value) -> str:
+    """One CSV cell: floats at 12 significant digits, sequences joined
+    by ';', None empty."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, (list, tuple)):
+        return ";".join(_fmt(x) for x in value)
+    return str(value)
 
 
 def _label_key(label):
@@ -117,18 +116,26 @@ def label_order(g: Graph) -> list[int]:
 
 def _make_record(dataset: str, g: Graph, result: BcResult,
                  rel_l1: float | None = None) -> RunRecord:
-    report = peel_diagnostics(g)
+    """The run record; n_tilde, m_tilde and round_fractions equal
+    peel_diagnostics(g)'s, taken from one peel.
+
+    Every round-0 node has exactly one edge, and only the edge of a
+    two-node component joins two of them (each then has deg1 == 1).
+    """
+    decomp = peel(g)
+    round0 = decomp.rounds[0] if decomp.rounds else []
+    two_node_components = sum(decomp.deg1[v] for v in round0) // 2
     return RunRecord(
         dataset=dataset,
         algorithm=result.algorithm,
         n=g.n,
         m=g.m,
-        n_tilde=report.n_tilde,
-        m_tilde=report.m_tilde,
+        n_tilde=g.n - len(round0),
+        m_tilde=g.m - len(round0) + two_node_components,
         k=result.k,
         seed=result.seed,
         rel_l1=rel_l1,
-        round_fractions=tuple(report.round_fractions),
+        round_fractions=tuple(len(r) / g.n for r in decomp.rounds),
         elapsed=result.elapsed,
     )
 
@@ -137,6 +144,32 @@ def _open_out(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
     return open(path, "w", encoding="utf-8", newline=""), True
+
+
+def _json_number(x) -> str:
+    """`x` as json.dump writes it: repr for a finite float."""
+    if isinstance(x, float) and math.isfinite(x):
+        return float.__repr__(x)
+    return json.dumps(x)
+
+
+def scores_json(run: dict, scores) -> str:
+    """JSON score file text for (label, bc) rows, plus a final newline.
+
+    Byte for byte what json.dump({"run": run, "scores": [{"node": label,
+    "bc": bc}, ...]}, sort_keys=True, indent=2) writes, from the
+    primitives json itself uses, in one string: json.dump with indent
+    runs the pure-Python encoder and writes chunk by chunk, which costs
+    more than the scoring of a small graph.
+    """
+    rows = ",\n".join(
+        f'    {{\n      "bc": {_json_number(bc)},\n'
+        f'      "node": {encode_basestring_ascii(label)}\n    }}'
+        for label, bc in scores
+    )
+    run_text = json.dumps(run, sort_keys=True, indent=2).replace("\n", "\n  ")
+    scores_text = f"[\n{rows}\n  ]" if rows else "[]"
+    return f'{{\n  "run": {run_text},\n  "scores": {scores_text}\n}}\n'
 
 
 def _write_scores(args, g: Graph, result: BcResult, record: RunRecord) -> None:
@@ -149,14 +182,10 @@ def _write_scores(args, g: Graph, result: BcResult, record: RunRecord) -> None:
             for v in order:
                 writer.writerow([str(g.labels[v]), _fmt(result.bc[v])])
         else:
-            payload = {
-                "run": record.to_json_obj(include_timing=args.timing),
-                "scores": [
-                    {"node": str(g.labels[v]), "bc": result.bc[v]} for v in order
-                ],
-            }
-            json.dump(payload, stream, sort_keys=True, indent=2)
-            stream.write("\n")
+            stream.write(scores_json(
+                record.to_json_obj(include_timing=args.timing),
+                [(str(g.labels[v]), result.bc[v]) for v in order],
+            ))
     finally:
         if close:
             stream.close()
@@ -191,14 +220,15 @@ def _run_exact_algorithm(name: str, g: Graph, threads: int, force: bool) -> BcRe
         return brandes_exact(g, threads=threads)
     if name == "peel1":
         return bc_one_round_mem(g, threads=threads)
+    capped = name in ("2core-recurrence", "oracle")
+    if capped and g.n > ORACLE_SIZE_WARNING and not force:
+        raise ValueError(
+            f"{name} refused on n={g.n} > {ORACLE_SIZE_WARNING} nodes; "
+            "pass --force to run anyway"
+        )
     if name == "2core-recurrence":
         return bc_via_2core_recurrence(g)
     if name == "oracle":
-        if g.n > ORACLE_SIZE_WARNING and not force:
-            raise ValueError(
-                f"oracle refused on n={g.n} > {ORACLE_SIZE_WARNING} nodes; "
-                "pass --force to run anyway"
-            )
         return oracle_bc(g)
     raise ValueError(f"unknown algorithm {name!r}")
 
@@ -273,16 +303,7 @@ def cmd_stats(args) -> int:
         if args.format == "csv":
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(_STATS_FIELDS)
-            row = []
-            for name in _STATS_FIELDS:
-                value = values[name]
-                if name == "round_fractions":
-                    row.append(";".join(_fmt(x) for x in value))
-                elif isinstance(value, float):
-                    row.append(_fmt(value))
-                else:
-                    row.append(str(value))
-            writer.writerow(row)
+            writer.writerow([_csv_cell(values[name]) for name in _STATS_FIELDS])
         else:
             values["deg1_histogram"] = {
                 str(k): v for k, v in report.deg1_histogram.items()
@@ -465,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-node absolute difference")
     p.add_argument("--threads", type=int, default=default_threads)
     p.add_argument("--force", action="store_true",
-                   help="run the oracle past its size cap")
+                   help="run oracle or 2core-recurrence past their size cap")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("sample", help="pivot-sampled estimates")
@@ -521,10 +542,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphParseError, GraphFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:  # parse errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,8 +20,8 @@ from .graph import Graph
 
 UNREACHABLE = -1
 
-# Above this node count the quadratic/cubic oracles get slow; callers are
-# warned but not stopped.
+# Above this node count the quadratic/cubic oracles get slow: oracle_bc
+# warns, and the CLI refuses oracle and 2core-recurrence without --force.
 ORACLE_SIZE_WARNING = 500
 
 
@@ -128,19 +128,63 @@ def source_chunks(n_sources: int, threads: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(threads) if bounds[i] < bounds[i + 1]]
 
 
+def _chunk_child(conn, worker, common_args: tuple, lo: int, hi: int) -> None:
+    """Body of a forked chunk process: send back (True, result) or
+    (False, exception)."""
+    try:
+        reply = (True, worker(*common_args, lo, hi))
+    except Exception as exc:
+        reply = (False, exc)
+    conn.send(reply)
+    conn.close()
+
+
 def run_chunked(worker, common_args: tuple, n_items: int, threads: int) -> list:
     """Run `worker(*common_args, lo, hi)` over item chunks, in order.
 
-    With threads > 1 the chunks run in separate processes; partial
-    results come back in ascending chunk order so the caller's reduction
-    order is fixed regardless of scheduling.
+    With more than one chunk, chunk 0 runs in the calling process and
+    every other chunk in a forked process of its own, which sends its
+    result back over a one-way pipe.  Partial results come back in
+    ascending chunk order so the caller's reduction order is fixed
+    regardless of scheduling.  An exception raised in a chunk is
+    re-raised here; a chunk process that dies without a result raises
+    RuntimeError.  No chunk process outlives the call.
     """
     chunks = source_chunks(n_items, threads)
     if len(chunks) <= 1:
         return [worker(*common_args, lo, hi) for lo, hi in chunks]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(len(chunks)) as pool:
-        return pool.starmap(worker, [(*common_args, lo, hi) for lo, hi in chunks])
+    children = []
+    finished = False
+    try:
+        for lo, hi in chunks[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_chunk_child,
+                               args=(send, worker, common_args, lo, hi))
+            proc.start()
+            send.close()  # else a dead child's pipe never reports EOF
+            children.append((proc, recv))
+        results = [worker(*common_args, *chunks[0])]
+        for proc, recv in children:
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"chunk process exited with code {proc.exitcode} "
+                    "before sending its result"
+                ) from None
+            if not ok:
+                raise value
+            results.append(value)
+        finished = True
+        return results
+    finally:
+        for proc, recv in children:
+            if not finished and proc.is_alive():
+                proc.terminate()
+            proc.join()
+            recv.close()
 
 
 def brandes_exact(g: Graph, threads: int = 1) -> BcResult:
@@ -166,7 +210,8 @@ def oracle_sigma(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """All-pairs hop distances and shortest-path counts via repeated BFS.
 
     Returns (dist, sigma) as int64 matrices; dist is -1 for unreachable
-    pairs and sigma is 0 there.  Intended for desk-scale graphs.
+    pairs and sigma is 0 there.  Intended for desk-scale graphs; path
+    counts beyond the int64 range raise OverflowError.
     """
     n = g.n
     dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
@@ -174,7 +219,13 @@ def oracle_sigma(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     for s in range(n):
         tree = sssp_bfs(g, s)
         dist[s] = tree.dist
-        sigma[s] = tree.sigma
+        try:
+            sigma[s] = tree.sigma
+        except OverflowError:
+            raise OverflowError(
+                f"shortest-path counts from node {s} exceed the int64 range "
+                "of the all-pairs matrices"
+            ) from None
     return dist, sigma
 
 

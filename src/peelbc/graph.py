@@ -319,14 +319,17 @@ def peel(g: Graph, max_rounds: int | None = None) -> PeelDecomposition:
     if max_rounds is not None and max_rounds < 0:
         raise ValueError("max_rounds must be nonnegative")
     n = g.n
-    deg = [len(g.adj[v]) for v in range(n)]
-    deg1 = [sum(1 for w in g.adj[v] if deg[w] == 1) for v in range(n)]
-    y_nodes = [v for v in range(n) if deg1[v] >= 1 and deg[v] != 1]
+    adj = g.adj
+    deg = list(map(len, adj))
+    frontier = [v for v in range(n) if deg[v] == 1]
+    deg1 = [0] * n
+    for v in frontier:
+        deg1[adj[v][0]] += 1
+    y_nodes = [v for v in range(n) if deg1[v] and deg[v] != 1]
 
     alive = bytearray([1]) * n
     rounds: list[list[int]] = []
     anchors: dict[int, int] = {}
-    frontier = [v for v in range(n) if deg[v] == 1]
     while frontier and (max_rounds is None or len(rounds) < max_rounds):
         this_round = sorted(v for v in frontier if alive[v] and deg[v] == 1)
         if not this_round:

@@ -94,14 +94,13 @@ class _OneRound:
 
 
 def _one_round(g: Graph) -> _OneRound:
-    deg = [len(g.adj[v]) for v in range(g.n)]
-    v1 = [v for v in range(g.n) if deg[v] == 1]
-    v2 = [v for v in range(g.n) if deg[v] != 1]
-    deg1 = [sum(1 for w in g.adj[v] if deg[w] == 1) for v in range(g.n)]
+    decomp = peel(g, max_rounds=1)
+    v2 = decomp.core_nodes  # after one round: every node of degree != 1
     sub, _ = g.subgraph(v2)
     comp_id, comp_sizes = g.component_ids()
     comp_size_of = [comp_sizes[c] for c in comp_id]
-    return _OneRound(v1=v1, v2=v2, deg1=deg1, sub=sub, comp_id=comp_id,
+    return _OneRound(v1=decomp.rounds[0] if decomp.rounds else [], v2=v2,
+                     deg1=decomp.deg1, sub=sub, comp_id=comp_id,
                      comp_size_of=comp_size_of)
 
 

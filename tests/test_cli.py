@@ -1,10 +1,13 @@
 import csv
 import json
+import math
 
 import pytest
 
-from peelbc import fixture_path
-from peelbc.cli import RunRecord, main
+from peelbc import BcResult, Graph, fixture_path, peel_diagnostics
+from peelbc.cli import EXACT_ALGORITHMS, RunRecord, _make_record, main, scores_json
+
+from conftest import corpus
 
 DOLPHINS = str(fixture_path("soc-dolphins"))
 WIKI_VOTE = str(fixture_path("soc-wiki-Vote"))
@@ -22,6 +25,33 @@ def p5_file(tmp_path):
     path = tmp_path / "p5.edges"
     path.write_text("0 1\n1 2\n2 3\n3 4\n")
     return str(path)
+
+
+@pytest.fixture
+def escapes_file(tmp_path):
+    """Labels json must escape, a two-node component and a self-loop node."""
+    path = tmp_path / "escapes.edges"
+    path.write_text('a"b c\\d\nc\\d \u00e9\n\u00e9 \u65e5\u672c\n\u65e5\u672c a"b\n'
+                    "\u65e5\u672c p\nq1 q2\nz z\n", encoding="utf-8")
+    return str(path)
+
+
+def grid_file(tmp_path, side: int) -> str:
+    path = tmp_path / f"grid-{side}.edges"
+    path.write_text(
+        "".join(f"{r}_{c} {r}_{c + 1}\n" for r in range(side) for c in range(side - 1))
+        + "".join(f"{r}_{c} {r + 1}_{c}\n" for r in range(side - 1) for c in range(side))
+    )
+    return str(path)
+
+
+def assert_json_dump_bytes(path) -> dict:
+    """The file must be byte for byte json.dump(payload, sort_keys=True,
+    indent=2) plus a newline, for the payload it holds."""
+    data = path.read_bytes()
+    payload = json.loads(data)
+    assert data == (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    return payload
 
 
 def read_scores(path) -> dict[str, float]:
@@ -67,6 +97,17 @@ class TestExact:
         assert main(["exact", str(big), "--algorithm", "oracle"]) == 1
         assert "--force" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:oracle_bc on n=")
+    @pytest.mark.parametrize("algorithm", ["2core-recurrence", "oracle"])
+    def test_grid_35_fails_with_one_line(self, algorithm, capsys, tmp_path):
+        grid = grid_file(tmp_path, 35)  # corner-to-corner path count C(68, 34) > 2**63
+        assert main(["exact", grid, "--algorithm", algorithm]) == 1
+        assert "--force" in capsys.readouterr().err
+        assert main(["exact", grid, "--algorithm", algorithm, "--force"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "int64" in err
+        assert len(err.splitlines()) == 1
+
     def test_json_output_with_metadata(self, star_file, tmp_path):
         out = tmp_path / "scores.json"
         assert main(["exact", star_file, "--algorithm", "peel1",
@@ -89,6 +130,51 @@ class TestExact:
         assert main(["exact", WIKI_VOTE, "--algorithm", "peel1",
                      "--out", str(out)]) == 0
         assert len(read_scores(out)) == 889
+
+
+class TestScoreWriter:
+    @pytest.mark.parametrize("algorithm", EXACT_ALGORITHMS)
+    def test_exact_json_is_json_dump(self, algorithm, escapes_file, tmp_path):
+        out = tmp_path / "scores.json"
+        assert main(["exact", escapes_file, "--algorithm", algorithm,
+                     "--threads", "1", "--format", "json", "--out", str(out)]) == 0
+        payload = assert_json_dump_bytes(out)
+        assert {row["node"] for row in payload["scores"]} == {
+            'a"b', "c\\d", "\u00e9", "\u65e5\u672c", "p", "q1", "q2", "z"}
+
+    def test_timing(self, escapes_file, tmp_path):
+        out = tmp_path / "scores.json"
+        assert main(["exact", escapes_file, "--format", "json", "--timing",
+                     "--threads", "2", "--out", str(out)]) == 0
+        assert "elapsed" in assert_json_dump_bytes(out)["run"]
+
+    @pytest.mark.parametrize("method", ["peeled", "baseline"])
+    def test_sample_with_truth(self, method, tmp_path):
+        truth = tmp_path / "truth.csv"
+        assert main(["exact", DOLPHINS, "--out", str(truth)]) == 0
+        out = tmp_path / "est.json"
+        assert main(["sample", DOLPHINS, "--k", "5", "--seed", "11",
+                     "--method", method, "--truth", str(truth),
+                     "--format", "json", "--out", str(out)]) == 0
+        assert assert_json_dump_bytes(out)["run"]["rel_l1"] > 0
+
+    @pytest.mark.parametrize("text", ["", "a a\n", "a b\n"])
+    def test_tiny_graphs(self, text, tmp_path):
+        path = tmp_path / "tiny.edges"
+        path.write_text(text)
+        out = tmp_path / "scores.json"
+        assert main(["exact", str(path), "--format", "json", "--out", str(out)]) == 0
+        assert len(assert_json_dump_bytes(out)["scores"]) == len(set(text.split()))
+
+    def test_non_finite_and_non_float_values(self):
+        run = {"rel_l1": math.inf, "round_fractions": [], "dataset": "x\ny"}
+        rows = [("n", math.nan), ("i", math.inf), ("-i", -math.inf), ("zero", 0),
+                ("big", 1e300), ("tiny", 5e-324), ("neg", -0.0), ("\x00\u2028", 0.1)]
+        payload = {"run": run, "scores": [{"node": a, "bc": b} for a, b in rows]}
+        expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert scores_json(run, rows) == expected
+        empty = {"run": run, "scores": []}
+        assert scores_json(run, []) == json.dumps(empty, sort_keys=True, indent=2) + "\n"
 
 
 class TestSample:
@@ -194,6 +280,20 @@ class TestRunRecord:
             "round_fractions": [0.4, 0.1], "elapsed": 1.5,
         }
         assert "elapsed" not in self.RECORD.to_json_obj()
+
+    def test_lean_record_matches_peel_diagnostics(self):
+        graphs = corpus(200) + [
+            Graph.from_edges(2, [(0, 1)]),
+            Graph.from_edges(7, [(0, 1), (2, 3), (3, 4), (4, 2), (4, 5)]),
+            Graph.from_edges(5, [(1, 2), (2, 3)]),  # isolated nodes 0 and 4
+            Graph.from_edges(1, []),
+            Graph.from_edges(0, []),
+        ]
+        for g in graphs:
+            record = _make_record("g", g, BcResult(bc=[], algorithm="x"))
+            report = peel_diagnostics(g)
+            assert (record.n_tilde, record.m_tilde) == (report.n_tilde, report.m_tilde)
+            assert list(record.round_fractions) == report.round_fractions
 
     def test_csv_row_covers_every_field(self):
         row = self.RECORD.to_csv_row(include_timing=True)

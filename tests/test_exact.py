@@ -1,4 +1,9 @@
 import math
+import multiprocessing
+import os
+import signal
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ from peelbc import (
     source_dependency,
     sssp_bfs,
 )
-from peelbc.exact import ORACLE_SIZE_WARNING, _dependency_totals
+from peelbc.exact import ORACLE_SIZE_WARNING, _dependency_totals, run_chunked
 
 from conftest import corpus_graph
 
@@ -238,3 +243,61 @@ class TestDependencyConsistency:
                     if s != t and dist[s, t] > 0:
                         expected += dist[s, t] - 1
             assert math.isclose(totals.sum(), expected, rel_tol=0, abs_tol=1e-7)
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail instead of hanging when the body takes longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _chunk_bounds(lo, hi):
+    return (lo, hi, os.getpid())
+
+
+def _chunk_one_raises(lo, hi):
+    if lo > 0:
+        raise ValueError(f"chunk [{lo}, {hi}) failed")
+    return lo
+
+
+def _chunk_one_dies(lo, hi):
+    if lo > 0:
+        os._exit(3)
+    return lo
+
+
+def _chunk_zero_raises(lo, hi):
+    if lo == 0:
+        raise KeyError("chunk 0 failed")
+    time.sleep(30)
+    return lo
+
+
+class TestRunChunked:
+    def test_chunks_come_back_in_order(self):
+        with time_limit(30):
+            parts = run_chunked(_chunk_bounds, (), 10, 3)
+        assert [p[:2] for p in parts] == [(0, 3), (3, 7), (7, 10)]
+        assert parts[0][2] == os.getpid()  # chunk 0 runs in the caller
+        assert len({p[2] for p in parts}) == 3
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("worker, error, match", [
+        (_chunk_one_raises, ValueError, r"chunk \[1, 2\) failed"),
+        (_chunk_one_dies, RuntimeError, "exited with code 3"),
+        (_chunk_zero_raises, KeyError, "chunk 0 failed"),
+    ])
+    def test_failed_chunk_raises_and_leaves_no_process(self, worker, error, match):
+        with time_limit(20), pytest.raises(error, match=match):
+            run_chunked(worker, (), 2, 2)
+        assert multiprocessing.active_children() == []

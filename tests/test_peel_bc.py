@@ -60,6 +60,23 @@ def one_round_parts(g: Graph):
     return one, deg1_sub
 
 
+TWO_NODE_AND_ISOLATED = Graph.from_edges(
+    8, [(0, 1), (2, 3), (3, 4), (4, 2), (4, 5)]  # 0-1 alone; 6 and 7 isolated
+)
+
+
+def test_one_round_matches_degree_definitions():
+    from conftest import corpus
+    from peelbc.peeling import _one_round
+
+    for g in corpus(200) + [TWO_NODE_AND_ISOLATED, star(4), Graph.from_edges(0, [])]:
+        one = _one_round(g)
+        deg = [len(g.adj[v]) for v in range(g.n)]
+        assert one.v1 == [v for v in range(g.n) if deg[v] == 1]
+        assert one.v2 == [v for v in range(g.n) if deg[v] != 1]
+        assert one.deg1 == [sum(1 for w in g.adj[v] if deg[w] == 1) for v in range(g.n)]
+
+
 class TestAccumulateDeltaZeta:
     def test_pendant_path_source_b(self):
         one, deg1_sub = one_round_parts(PENDANT_PATH)
