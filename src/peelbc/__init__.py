@@ -10,6 +10,7 @@ from .datasets import fixture_names, fixture_path, load_fixture
 from .exact import (
     BcResult,
     SsspTree,
+    accumulate,
     brandes_exact,
     oracle_bc,
     oracle_sigma,
@@ -70,6 +71,7 @@ __all__ = [
     "SampleConfig",
     "SsspTree",
     "TableSizeError",
+    "accumulate",
     "accumulate_delta_zeta",
     "bc_one_round_full",
     "bc_one_round_mem",

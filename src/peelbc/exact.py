@@ -1,17 +1,19 @@
-"""Exact betweenness centrality: Brandes' algorithm and brute-force oracles.
+"""Exact betweenness centrality: the accumulation kernel, Brandes'
+algorithm on it, and brute-force oracles.
 
-The oracle pair (oracle_sigma / oracle_bc) recomputes everything from
-per-source BFS distance and path-count matrices and serves as ground
-truth for the rest of the package; it is deliberately independent of the
-dependency-accumulation code path it checks.
+`accumulate` is the one dependency-accumulation kernel; every exact and
+sampled path in the package runs it.  The oracle pair (oracle_sigma /
+oracle_bc) recomputes everything from per-source BFS distance and
+path-count matrices and serves as ground truth for the rest of the
+package; it is deliberately independent of the kernel it checks.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import warnings
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -30,16 +32,24 @@ class SsspTree:
     """One BFS shortest-path DAG.
 
     dist uses -1 for unreachable nodes; sigma counts shortest paths from
-    the source; preds[w] lists the neighbors of w one hop closer to the
-    source; order holds the reached nodes farthest-first, so iterating it
-    pops nodes in nonincreasing distance.
+    the source; order holds the reached nodes farthest-first, so
+    iterating it pops nodes in nonincreasing distance.  preds[w] lists
+    the neighbors of w one hop closer to the source; it is derived from
+    dist and adj on first access, since the accumulation kernel tests
+    distances instead of storing predecessor lists.
     """
 
     source: int
     dist: list[int]
     sigma: list[int]
-    preds: list[list[int]]
     order: list[int]
+    adj: list[list[int]] = field(repr=False)
+
+    @cached_property
+    def preds(self) -> list[list[int]]:
+        dist = self.dist
+        return [[v for v in nbrs if dist[v] == d - 1]
+                for nbrs, d in zip(self.adj, dist)]
 
 
 @dataclass
@@ -57,68 +67,73 @@ class BcResult:
 
 
 def sssp_bfs(g: Graph, s: int) -> SsspTree:
-    """Breadth-first shortest paths from s: distances, counts, predecessors."""
+    """Breadth-first shortest paths from s: distances, counts, visit order."""
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range for n={g.n}")
-    n = g.n
     adj = g.adj
-    dist = [UNREACHABLE] * n
-    sigma = [0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
+    dist = [UNREACHABLE] * g.n
+    sigma = [0] * g.n
     dist[s] = 0
     sigma[s] = 1
-    order = []
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
+    order = [s]
+    for v in order:  # appended to while walked: the BFS queue
         nd = dist[v] + 1
         sv = sigma[v]
         for w in adj[v]:
-            if dist[w] < 0:
+            dw = dist[w]
+            if dw < 0:
                 dist[w] = nd
-                queue.append(w)
-            if dist[w] == nd:
+                sigma[w] = sv
+                order.append(w)
+            elif dw == nd:
                 sigma[w] += sv
-                preds[w].append(v)
     order.reverse()
-    return SsspTree(source=s, dist=dist, sigma=sigma, preds=preds, order=order)
+    return SsspTree(source=s, dist=dist, sigma=sigma, order=order, adj=adj)
 
 
-def source_dependency(g: Graph, s: int, tree: SsspTree | None = None) -> list[float]:
-    """Accumulated dependency of source s on every node (bottom-up pass)."""
-    if tree is None:
+def accumulate(g: Graph, sources, target=None, weight=None) -> list[float]:
+    """Weighted dependency totals: the sum over s in sources of
+    weight[s] * psi_s, with psi_s[s] left out.
+
+    psi_s is Brandes' dependency with a per-target term: over the
+    shortest-path DAG from s, psi_s[v] sums sigma[v] / sigma[w] *
+    (target[w] + psi_s[w]) over the nodes w one hop farther than v.
+    target None means 1.0 everywhere, which makes psi_s the plain
+    dependency delta_s; weight None means 1 per source.  Because the
+    recurrence is linear in its target term, target 1 + deg1 gives the
+    one-round sum delta + zeta in one pass.  The backward pass finds a
+    node's DAG parents by distance, so no predecessor lists are built.
+    """
+    n = g.n
+    adj = g.adj
+    if target is None:
+        target = [1.0] * n
+    acc = [0.0] * n
+    for s in sources:
         tree = sssp_bfs(g, s)
-    delta = [0.0] * g.n
-    sigma = tree.sigma
-    for w in tree.order:
-        coeff = (1.0 + delta[w]) / sigma[w]
-        for v in tree.preds[w]:
-            if v != s:
-                delta[v] += sigma[v] * coeff
-    return delta
+        dist = tree.dist
+        sigma = tree.sigma
+        ws = 1 if weight is None else weight[s]
+        psi = [0.0] * n
+        order = tree.order
+        order.pop()  # the source comes last and depends on nothing
+        for w in order:
+            up = dist[w] - 1
+            coeff = (target[w] + psi[w]) / sigma[w]
+            for v in adj[w]:
+                if dist[v] == up:
+                    psi[v] += sigma[v] * coeff
+            acc[w] += ws * psi[w]
+    return acc
+
+
+def source_dependency(g: Graph, s: int) -> list[float]:
+    """Accumulated dependency of source s on every node (bottom-up pass)."""
+    return accumulate(g, [s])
 
 
 def _normalizer(n: int) -> float:
     return float((n - 1) * (n - 2))
-
-
-def _brandes_chunk(g: Graph, lo: int, hi: int) -> list[float]:
-    """Unnormalized per-node scores contributed by sources lo..hi-1."""
-    bc = [0.0] * g.n
-    for s in range(lo, hi):
-        tree = sssp_bfs(g, s)
-        sigma = tree.sigma
-        preds = tree.preds
-        delta = [0.0] * g.n
-        for w in tree.order:
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                if v != s:
-                    delta[v] += sigma[v] * coeff
-            if w != s:
-                bc[w] += delta[w]
-    return bc
 
 
 def source_chunks(n_sources: int, threads: int) -> list[tuple[int, int]]:
@@ -187,6 +202,38 @@ def run_chunked(worker, common_args: tuple, n_items: int, threads: int) -> list:
             recv.close()
 
 
+# Below this many source-edge pairs (sources x edges of the graph the
+# kernel runs on) a forked worker costs more than it saves, so the work
+# runs as one chunk in the caller.  `exact --threads 1` vs `--threads 2`
+# with forking forced, best of 9 on a 2-vCPU Xeon VM: soc-dolphins
+# brandes (9.9k pairs) 9.7 vs 14.2 ms, peel1 (8.0k) 8.5 vs 12.6 ms;
+# cp-3000 peel1 (31k) 34 vs 38 ms; ca-CSphd peel1 (239k) 165 vs 120 ms.
+FORK_MIN_WORK = 100_000
+
+
+def _accumulate_chunk(g: Graph, sources, target, weight,
+                      lo: int, hi: int) -> list[float]:
+    return accumulate(g, sources[lo:hi], target, weight)
+
+
+def accumulate_chunked(g: Graph, sources, target=None, weight=None,
+                       threads: int = 1) -> list[float]:
+    """accumulate() over run_chunked source chunks, summed in chunk order.
+
+    Small inputs (fewer than FORK_MIN_WORK source-edge pairs) run as one
+    chunk whatever `threads` says, so they give the same bytes as a
+    single-threaded run.
+    """
+    if len(sources) * g.m < FORK_MIN_WORK:
+        threads = 1
+    acc = [0.0] * g.n
+    for partial in run_chunked(_accumulate_chunk, (g, sources, target, weight),
+                               len(sources), threads):
+        for v in range(g.n):
+            acc[v] += partial[v]
+    return acc
+
+
 def brandes_exact(g: Graph, threads: int = 1) -> BcResult:
     """Exact betweenness via per-source BFS and dependency accumulation.
 
@@ -198,11 +245,8 @@ def brandes_exact(g: Graph, threads: int = 1) -> BcResult:
     n = g.n
     bc = [0.0] * n
     if n > 2:
-        for partial in run_chunked(_brandes_chunk, (g,), n, threads):
-            for v in range(n):
-                bc[v] += partial[v]
         norm = _normalizer(n)
-        bc = [x / norm for x in bc]
+        bc = [x / norm for x in accumulate_chunked(g, range(n), threads=threads)]
     return BcResult(bc=bc, algorithm="brandes", elapsed=perf_counter() - start)
 
 

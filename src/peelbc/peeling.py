@@ -23,12 +23,11 @@ import numpy as np
 
 from .exact import (
     BcResult,
-    SsspTree,
     _normalizer,
+    accumulate,
+    accumulate_chunked,
     oracle_sigma,
     pair_counts_through,
-    run_chunked,
-    sssp_bfs,
 )
 from .graph import Graph, PeelDecomposition, peel
 
@@ -55,30 +54,16 @@ class DeltaZetaTable:
 
 
 def accumulate_delta_zeta(
-    tree: SsspTree, deg1: list[int]
+    g: Graph, s: int, deg1: list[int]
 ) -> tuple[list[float], list[float]]:
-    """Bottom-up accumulation of dependency and pendant-weighted dependency.
+    """Dependency and pendant-weighted dependency rows of source s.
 
-    Runs on a BFS tree of the peeled graph; deg1 gives, per node of that
-    graph, its count of removed degree-1 neighbors in the original
-    graph.  The zeta recursion mirrors the dependency one with deg1(w)
-    taking the role of the +1 target term, so one pass over the tree's
-    edges produces both rows.
+    Runs on the peeled graph g; deg1 gives, per node of g, its count of
+    removed degree-1 neighbors in the original graph.  The zeta
+    recursion is the dependency one with deg1(w) in the role of the +1
+    target term, so each row is one kernel pass.
     """
-    n = len(tree.dist)
-    s = tree.source
-    sigma = tree.sigma
-    delta = [0.0] * n
-    zeta = [0.0] * n
-    for w in tree.order:
-        coeff_d = (1.0 + delta[w]) / sigma[w]
-        coeff_z = (deg1[w] + zeta[w]) / sigma[w]
-        for v in tree.preds[w]:
-            if v != s:
-                sv = sigma[v]
-                delta[v] += sv * coeff_d
-                zeta[v] += sv * coeff_z
-    return delta, zeta
+    return accumulate(g, [s]), accumulate(g, [s], target=deg1)
 
 
 @dataclass
@@ -119,30 +104,6 @@ def _pick_sources(nt: int, k: int | None, seed: int | None):
     return rng.sample(range(nt), k), True
 
 
-def _mem_chunk(sub: Graph, deg1_sub: list[int], sources: list[int],
-               lo: int, hi: int) -> list[float]:
-    """Weighted dependency totals contributed by sources[lo:hi]."""
-    acc = [0.0] * sub.n
-    for s in sources[lo:hi]:
-        tree = sssp_bfs(sub, s)
-        sigma = tree.sigma
-        preds = tree.preds
-        weight = 1 + deg1_sub[s]
-        dtmp = [0.0] * sub.n
-        ztmp = [0.0] * sub.n
-        for w in tree.order:
-            coeff_d = (1.0 + dtmp[w]) / sigma[w]
-            coeff_z = (deg1_sub[w] + ztmp[w]) / sigma[w]
-            for v in preds[w]:
-                if v != s:
-                    sv = sigma[v]
-                    dtmp[v] += sv * coeff_d
-                    ztmp[v] += sv * coeff_z
-            if w != s:
-                acc[w] += weight * (dtmp[w] + ztmp[w])
-    return acc
-
-
 def bc_one_round_mem(
     g: Graph,
     k: int | None = None,
@@ -153,10 +114,12 @@ def bc_one_round_mem(
 
     Exact when k is None or k >= the survivor count; otherwise an
     estimate from k pivots rescaled by survivors/k.  Each survivor's
-    score combines the weighted accumulation over the peeled graph with
-    a closed-form pendant term that carries no sampling error; removed
-    degree-1 nodes score 0.  On a graph with no degree-1 nodes this
-    reduces bit-for-bit to the plain exact algorithm.
+    score combines the weighted accumulation over the peeled graph (one
+    kernel pass per source for psi = delta + zeta: target 1 + deg1,
+    source weight 1 + deg1) with a closed-form pendant term that carries
+    no sampling error; removed degree-1 nodes score 0.  On a graph with
+    no degree-1 nodes this reduces bit-for-bit to the plain exact
+    algorithm.
     """
     start = perf_counter()
     n = g.n
@@ -166,12 +129,10 @@ def bc_one_round_mem(
     bc = [0.0] * n
     if n > 2:
         deg1_sub = [one.deg1[orig] for orig in one.v2]
-        acc = [0.0] * nt
-        for partial in run_chunked(
-            _mem_chunk, (one.sub, deg1_sub, sources), len(sources), threads
-        ):
-            for i in range(nt):
-                acc[i] += partial[i]
+        acc = accumulate_chunked(
+            one.sub, sources, target=[1.0 + d for d in deg1_sub],
+            weight=[1 + d for d in deg1_sub], threads=threads,
+        )
         if sampled:
             scale = nt / k
             acc = [x * scale for x in acc]
@@ -227,8 +188,7 @@ def bc_one_round_full(
     zeta = np.zeros((nt, nt))
     deg1_sub = [one.deg1[orig] for orig in one.v2]
     for s in sources:
-        tree = sssp_bfs(one.sub, s)
-        drow, zrow = accumulate_delta_zeta(tree, deg1_sub)
+        drow, zrow = accumulate_delta_zeta(one.sub, s, deg1_sub)
         delta[one.v2[s], :] = drow
         zeta[s, :] = zrow
     if sampled:

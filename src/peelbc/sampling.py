@@ -14,9 +14,10 @@ import random
 from dataclasses import dataclass
 from time import perf_counter
 
-from .exact import BcResult, _normalizer, source_dependency, sssp_bfs
+from .exact import BcResult, _normalizer, accumulate_chunked
+from .exact import sssp_bfs  # noqa: F401  (bound here for the benchmark's tracer)
 from .graph import Graph
-from .peeling import _one_round, accumulate_delta_zeta, bc_one_round_mem
+from .peeling import _one_round, bc_one_round_mem
 
 
 @dataclass(frozen=True)
@@ -61,15 +62,10 @@ class ErrorReport:
 def _estimate_from_pivots(g: Graph, pivots, k: int) -> list[float]:
     """Uniform-pivot estimate given an explicit pivot list."""
     n = g.n
-    acc = [0.0] * n
-    for s in pivots:
-        delta = source_dependency(g, s)
-        for v in range(n):
-            acc[v] += delta[v]
     if n <= 2:
         return [0.0] * n
     scale = n / k / _normalizer(n)
-    return [x * scale for x in acc]
+    return [x * scale for x in accumulate_chunked(g, pivots)]
 
 
 def sample_bc_baseline(g: Graph, cfg: SampleConfig) -> BcResult:
@@ -117,23 +113,12 @@ def sample_bc_peeled(
     bc = [0.0] * n
     if n > 2:
         deg1_sub = [one.deg1[orig] for orig in one.v2]
-        pos = {orig: i for i, orig in enumerate(one.v2)}
-        y_sources = [pos[u] for u in one.v2 if one.deg1[u] > 0]
-        exact_acc = [0.0] * nt
-        for s in y_sources:
-            tree = sssp_bfs(one.sub, s)
-            dtmp, ztmp = accumulate_delta_zeta(tree, deg1_sub)
-            w = deg1_sub[s]
-            for v in range(nt):
-                exact_acc[v] += w * (dtmp[v] + ztmp[v])
+        target = [1.0 + d for d in deg1_sub]
+        y_sources = [i for i, d in enumerate(deg1_sub) if d > 0]
+        exact_acc = accumulate_chunked(one.sub, y_sources, target, deg1_sub)
         rng = random.Random(cfg.seed)
         pivots = rng.sample(range(nt), cfg.k)
-        sampled_acc = [0.0] * nt
-        for s in pivots:
-            tree = sssp_bfs(one.sub, s)
-            dtmp, ztmp = accumulate_delta_zeta(tree, deg1_sub)
-            for v in range(nt):
-                sampled_acc[v] += dtmp[v] + ztmp[v]
+        sampled_acc = accumulate_chunked(one.sub, pivots, target)
         scale = (nt - 1) / cfg.k
         norm = _normalizer(n)
         for idx, u in enumerate(one.v2):

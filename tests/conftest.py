@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 
 import pytest
@@ -41,3 +42,18 @@ def corpus(count: int) -> list[Graph]:
 def small_corpus() -> list[Graph]:
     """A 30-graph slice for unit tests; acceptance runs the full 200."""
     return corpus(30)
+
+
+@pytest.fixture
+def fork_calls(monkeypatch) -> list:
+    """Records every multiprocessing.get_context call: run_chunked makes
+    one each time it forks chunk processes."""
+    calls = []
+    real = multiprocessing.get_context
+
+    def spy(method=None):
+        calls.append(method)
+        return real(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return calls

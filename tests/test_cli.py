@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import multiprocessing
 
 import pytest
 
@@ -130,6 +131,21 @@ class TestExact:
         assert main(["exact", WIKI_VOTE, "--algorithm", "peel1",
                      "--out", str(out)]) == 0
         assert len(read_scores(out)) == 889
+
+    @pytest.mark.parametrize("algorithm", ["brandes", "peel1"])
+    def test_threads_2_on_small_input_is_serial(self, algorithm, monkeypatch, tmp_path):
+        # soc-dolphins is below FORK_MIN_WORK: one chunk, no child process.
+        outs = {t: tmp_path / f"t{t}.json" for t in (1, 2)}
+        assert main(["exact", DOLPHINS, "--algorithm", algorithm, "--threads", "1",
+                     "--format", "json", "--out", str(outs[1])]) == 0
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("forked a chunk process for a small input")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        assert main(["exact", DOLPHINS, "--algorithm", algorithm, "--threads", "2",
+                     "--format", "json", "--out", str(outs[2])]) == 0
+        assert outs[2].read_bytes() == outs[1].read_bytes()
 
 
 class TestScoreWriter:

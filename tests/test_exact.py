@@ -16,9 +16,14 @@ from peelbc import (
     source_dependency,
     sssp_bfs,
 )
-from peelbc.exact import ORACLE_SIZE_WARNING, _dependency_totals, run_chunked
+from peelbc.exact import (
+    FORK_MIN_WORK,
+    ORACLE_SIZE_WARNING,
+    _dependency_totals,
+    run_chunked,
+)
 
-from conftest import corpus_graph
+from conftest import corpus_graph, er_with_exact_pendants
 
 
 def enumeration_bc(g: Graph) -> list[float]:
@@ -158,10 +163,13 @@ class TestBrandesExact:
         g = corpus_graph(5)
         assert brandes_exact(g).bc == brandes_exact(g).bc
 
-    def test_threads_agree_with_serial(self):
-        g = corpus_graph(7)
+    def test_threads_agree_with_serial(self, fork_calls):
+        g = er_with_exact_pendants(200, 260, 0.05, seed=7)
+        assert g.n * g.m >= FORK_MIN_WORK
         serial = brandes_exact(g, threads=1).bc
+        assert fork_calls == []
         parallel = brandes_exact(g, threads=2).bc
+        assert fork_calls == ["fork"]
         assert parallel == pytest.approx(serial, abs=1e-12)
         assert brandes_exact(g, threads=2).bc == parallel  # same-settings determinism
 

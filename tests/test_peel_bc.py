@@ -14,9 +14,9 @@ from peelbc import (
     sssp_bfs,
     two_core_sigma_rounds,
 )
-from peelbc.exact import pair_counts_through
+from peelbc.exact import FORK_MIN_WORK, pair_counts_through
 
-from conftest import corpus_graph
+from conftest import corpus_graph, er_with_exact_pendants
 
 PENDANT_PATH = Graph.from_labeled_edges(
     [("a", "b"), ("b", "c"), ("c", "e"), ("e", "f")]
@@ -82,8 +82,7 @@ class TestAccumulateDeltaZeta:
         one, deg1_sub = one_round_parts(PENDANT_PATH)
         assert one.v2 == [1, 2, 3]  # b, c, e
         assert deg1_sub == [1, 0, 1]
-        tree = sssp_bfs(one.sub, 0)  # source b
-        delta, zeta = accumulate_delta_zeta(tree, deg1_sub)
+        delta, zeta = accumulate_delta_zeta(one.sub, 0, deg1_sub)  # source b
         assert delta == [0.0, 1.0, 0.0]
         assert zeta == [0.0, 1.0, 0.0]
         assert brute_zeta(one.sub, deg1_sub)[0].tolist() == zeta
@@ -92,13 +91,13 @@ class TestAccumulateDeltaZeta:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         one, deg1_sub = one_round_parts(g)
         for s in range(one.sub.n):
-            _, zeta = accumulate_delta_zeta(sssp_bfs(one.sub, s), deg1_sub)
+            _, zeta = accumulate_delta_zeta(one.sub, s, deg1_sub)
             assert zeta == [0.0] * one.sub.n
 
     def test_single_node_peeled_graph(self):
         one, deg1_sub = one_round_parts(star(4))
         assert one.sub.n == 1
-        delta, zeta = accumulate_delta_zeta(sssp_bfs(one.sub, 0), deg1_sub)
+        delta, zeta = accumulate_delta_zeta(one.sub, 0, deg1_sub)
         assert delta == [0.0] and zeta == [0.0]
 
     def test_zeta_matches_brute_force_on_corpus(self, small_corpus):
@@ -106,7 +105,7 @@ class TestAccumulateDeltaZeta:
             one, deg1_sub = one_round_parts(g)
             expected = brute_zeta(one.sub, deg1_sub)
             for s in range(one.sub.n):
-                _, zeta = accumulate_delta_zeta(sssp_bfs(one.sub, s), deg1_sub)
+                _, zeta = accumulate_delta_zeta(one.sub, s, deg1_sub)
                 assert max_dev(zeta, expected[s]) < 1e-9
 
 
@@ -185,10 +184,14 @@ class TestOneRoundMem:
         assert a.bc == b.bc
         assert a.k == 3 and a.seed == 21
 
-    def test_threads_agree_with_serial(self):
-        g = corpus_graph(13)
+    def test_threads_agree_with_serial(self, fork_calls):
+        g = er_with_exact_pendants(200, 260, 0.05, seed=13)
+        sub = one_round_parts(g)[0].sub
+        assert sub.n * sub.m >= FORK_MIN_WORK
         serial = bc_one_round_mem(g, threads=1).bc
+        assert fork_calls == []
         parallel = bc_one_round_mem(g, threads=2).bc
+        assert fork_calls == ["fork"]
         assert parallel == pytest.approx(serial, abs=1e-12)
 
     def test_k2_and_isolated_components(self):
