@@ -26,6 +26,7 @@ from .graph import (
     Graph,
     peel,
     peel_diagnostics,
+    peel_sizes,
     read_graph,
     write_edge_list,
 )
@@ -116,26 +117,20 @@ def label_order(g: Graph) -> list[int]:
 
 def _make_record(dataset: str, g: Graph, result: BcResult,
                  rel_l1: float | None = None) -> RunRecord:
-    """The run record; n_tilde, m_tilde and round_fractions equal
-    peel_diagnostics(g)'s, taken from one peel.
-
-    Every round-0 node has exactly one edge, and only the edge of a
-    two-node component joins two of them (each then has deg1 == 1).
-    """
-    decomp = peel(g)
-    round0 = decomp.rounds[0] if decomp.rounds else []
-    two_node_components = sum(decomp.deg1[v] for v in round0) // 2
+    """The run record; its peel statistics come from the peel the
+    algorithm ran, or from a peel here when it ran none."""
+    n_tilde, m_tilde, fractions = peel_sizes(g, result.peeled or peel(g))
     return RunRecord(
         dataset=dataset,
         algorithm=result.algorithm,
         n=g.n,
         m=g.m,
-        n_tilde=g.n - len(round0),
-        m_tilde=g.m - len(round0) + two_node_components,
+        n_tilde=n_tilde,
+        m_tilde=m_tilde,
         k=result.k,
         seed=result.seed,
         rel_l1=rel_l1,
-        round_fractions=tuple(len(r) / g.n for r in decomp.rounds),
+        round_fractions=tuple(fractions),
         elapsed=result.elapsed,
     )
 

@@ -5,7 +5,9 @@ algorithm on it, and brute-force oracles.
 sampled path in the package runs it.  The oracle pair (oracle_sigma /
 oracle_bc) recomputes everything from per-source BFS distance and
 path-count matrices and serves as ground truth for the rest of the
-package; it is deliberately independent of the kernel it checks.
+package; it is deliberately independent of the kernel it checks.  The
+oracles are the only code here that uses numpy, and they import it when
+called, so scoring through the kernel never loads it.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .graph import Graph, PeelDecomposition
 
-from .graph import Graph
+if TYPE_CHECKING:
+    import numpy as np
 
 UNREACHABLE = -1
 
@@ -57,6 +61,8 @@ class BcResult:
     """Per-node betweenness scores plus run metadata.
 
     k is None for exact runs; elapsed is wall time of the compute call.
+    peeled is the full peel of the input graph when the algorithm ran
+    one, so the run record reuses it; it is never serialized.
     """
 
     bc: list[float]
@@ -64,6 +70,7 @@ class BcResult:
     k: int | None = None
     seed: int | None = None
     elapsed: float = 0.0
+    peeled: PeelDecomposition | None = field(default=None, repr=False, compare=False)
 
 
 def sssp_bfs(g: Graph, s: int) -> SsspTree:
@@ -257,6 +264,7 @@ def oracle_sigma(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     pairs and sigma is 0 there.  Intended for desk-scale graphs; path
     counts beyond the int64 range raise OverflowError.
     """
+    import numpy as np
     n = g.n
     dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
     sigma = np.zeros((n, n), dtype=np.int64)
@@ -283,6 +291,7 @@ def pair_counts_through(
     s == u or t == u are left as produced by the identity (count(u,t)
     itself); callers exclude endpoints as needed.
     """
+    import numpy as np
     du = dist[:, u]
     reachable = (du[:, None] >= 0) & (dist[u, :][None, :] >= 0) & (dist >= 0)
     on_path = reachable & (du[:, None] + dist[u, :][None, :] == dist)
@@ -292,6 +301,7 @@ def pair_counts_through(
 
 def _dependency_totals(dist: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Unnormalized betweenness: sum over ordered pairs of pair dependencies."""
+    import numpy as np
     n = dist.shape[0]
     totals = np.zeros(n)
     if n <= 2:

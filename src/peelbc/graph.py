@@ -380,6 +380,20 @@ class PeelReport:
     two_core_fraction: float
 
 
+def peel_sizes(g: Graph, decomp: PeelDecomposition) -> tuple[int, int, list[float]]:
+    """n_tilde, m_tilde and round_fractions of g from its full peel.
+
+    n_tilde and m_tilde count what is left after removing round 0, the
+    degree-1 nodes of g.  Every round-0 node has exactly one edge, and
+    only the edge of a two-node component joins two of them (each then
+    has deg1 == 1), so m_tilde needs no edge scan.
+    """
+    round0 = decomp.rounds[0] if decomp.rounds else []
+    two_node_components = sum(decomp.deg1[v] for v in round0) // 2
+    fractions = [len(r) / g.n for r in decomp.rounds]
+    return g.n - len(round0), g.m - len(round0) + two_node_components, fractions
+
+
 def peel_diagnostics(g: Graph) -> PeelReport:
     """Summarize one round of peeling and the full decomposition.
 
@@ -390,13 +404,9 @@ def peel_diagnostics(g: Graph) -> PeelReport:
     """
     decomp = peel(g)
     n, m = g.n, g.m
-    v1_round0 = len(decomp.rounds[0]) if decomp.rounds else 0
-    removed0 = set(decomp.rounds[0]) if decomp.rounds else set()
-    n_tilde = n - v1_round0
-    m_tilde = sum(1 for u, v in g.edges() if u not in removed0 and v not in removed0)
+    n_tilde, m_tilde, fractions = peel_sizes(g, decomp)
     delta1 = max(decomp.deg1, default=0)
     histogram = dict(sorted(Counter(decomp.deg1[y] for y in decomp.Y).items()))
-    fractions = [len(r) / n for r in decomp.rounds] if n else []
     core_set = set(decomp.core_nodes)
     two_core = sum(
         1 for v in decomp.core_nodes if any(w in core_set for w in g.adj[v])
@@ -406,7 +416,7 @@ def peel_diagnostics(g: Graph) -> PeelReport:
         m=m,
         n_tilde=n_tilde,
         m_tilde=m_tilde,
-        v1_round0=v1_round0,
+        v1_round0=n - n_tilde,
         y_size=len(decomp.Y),
         delta1=delta1,
         deg1_histogram=histogram,

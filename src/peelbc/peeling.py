@@ -6,7 +6,9 @@ reconstruct the full-graph scores exactly from closed-form pendant terms
 plus an auxiliary pendant-weighted dependency (zeta).  The 2-core
 recurrence is the oracle-grade multi-round variant: it peels to the
 2-core, solves it with the brute-force matrices, and rolls scores back
-round by round.
+round by round.  Only the full-information tables and the recurrence
+use numpy, and they import it when called, so the one-round algorithms
+never load it.
 
 All closed-form terms use the size of a node's connected component where
 a connected graph's formulas would use n, so disconnected inputs (where
@@ -18,11 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from time import perf_counter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact import (
     BcResult,
+    _dependency_totals,
     _normalizer,
     accumulate,
     accumulate_chunked,
@@ -30,6 +32,9 @@ from .exact import (
     pair_counts_through,
 )
 from .graph import Graph, PeelDecomposition, peel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class TableSizeError(ValueError):
@@ -68,7 +73,8 @@ def accumulate_delta_zeta(
 
 @dataclass
 class _OneRound:
-    """Shared setup for the one-round algorithms."""
+    """Shared setup for the one-round algorithms; decomp is the full
+    peel, handed on in BcResult.peeled so the record need not peel."""
 
     v1: list[int]
     v2: list[int]
@@ -76,17 +82,23 @@ class _OneRound:
     sub: Graph
     comp_id: list[int]
     comp_size_of: list[int]
+    decomp: PeelDecomposition
+
+
+def _survivors(g: Graph) -> list[int]:
+    """The nodes one peeling round keeps: every node of degree != 1."""
+    return [v for v, nbrs in enumerate(g.adj) if len(nbrs) != 1]
 
 
 def _one_round(g: Graph) -> _OneRound:
-    decomp = peel(g, max_rounds=1)
-    v2 = decomp.core_nodes  # after one round: every node of degree != 1
+    decomp = peel(g)
+    v2 = _survivors(g)
     sub, _ = g.subgraph(v2)
     comp_id, comp_sizes = g.component_ids()
     comp_size_of = [comp_sizes[c] for c in comp_id]
     return _OneRound(v1=decomp.rounds[0] if decomp.rounds else [], v2=v2,
                      deg1=decomp.deg1, sub=sub, comp_id=comp_id,
-                     comp_size_of=comp_size_of)
+                     comp_size_of=comp_size_of, decomp=decomp)
 
 
 def _pick_sources(nt: int, k: int | None, seed: int | None):
@@ -147,6 +159,7 @@ def bc_one_round_mem(
         k=k if sampled else None,
         seed=seed if sampled else None,
         elapsed=perf_counter() - start,
+        peeled=one.decomp,
     )
 
 
@@ -171,6 +184,7 @@ def bc_one_round_full(
     exceeds max_table_bytes a TableSizeError directs callers to
     bc_one_round_mem.
     """
+    import numpy as np
     start = perf_counter()
     n = g.n
     one = _one_round(g)
@@ -231,6 +245,7 @@ def bc_one_round_full(
         k=k if sampled else None,
         seed=seed if sampled else None,
         elapsed=perf_counter() - start,
+        peeled=one.decomp,
     )
     return result, DeltaZetaTable(node_ids=list(one.v2), delta=delta, zeta=zeta)
 
@@ -251,6 +266,7 @@ def _extend_sigma(
     components) are distance 1 from each other and unreachable from
     everything else.  All arithmetic stays in integers.
     """
+    import numpy as np
     p = dist.shape[0]
     q = len(removed)
     full = p + q
@@ -340,23 +356,13 @@ def bc_via_2core_recurrence(g: Graph) -> BcResult:
     through u, evaluated on the smaller graph's matrices via the
     counting identity.  Removed degree-1 nodes score 0.
     """
+    import numpy as np
     start = perf_counter()
     n = g.n
     decomp = peel(g)
     core_sub, _ = g.subgraph(decomp.core_nodes)
     dist, sigma = oracle_sigma(core_sub)
-
-    p = core_sub.n
-    totals = np.zeros(p)
-    if p > 2:
-        sigma_f = sigma.astype(np.float64)
-        safe = np.where(sigma > 0, sigma_f, 1.0)
-        for u in range(p):
-            dep = pair_counts_through(dist, sigma, u).astype(np.float64) / safe
-            dep[u, :] = 0.0
-            dep[:, u] = 0.0
-            np.fill_diagonal(dep, 0.0)
-            totals[u] = dep.sum()
+    totals = _dependency_totals(dist, sigma)
 
     states, final_order = _round_structures(g, decomp)
     for order, removed, anchor_idx, k2_partner in states:
@@ -398,4 +404,4 @@ def bc_via_2core_recurrence(g: Graph) -> BcResult:
         for idx, orig in enumerate(final_order):
             bc[orig] = float(totals[idx]) / norm
     return BcResult(bc=bc, algorithm="2core-recurrence",
-                    elapsed=perf_counter() - start)
+                    elapsed=perf_counter() - start, peeled=decomp)

@@ -17,7 +17,7 @@ from time import perf_counter
 from .exact import BcResult, _normalizer, accumulate_chunked
 from .exact import sssp_bfs  # noqa: F401  (bound here for the benchmark's tracer)
 from .graph import Graph
-from .peeling import _one_round, bc_one_round_mem
+from .peeling import _one_round, _survivors, bc_one_round_mem
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,12 @@ def sample_bc_peeled(
 
     start = perf_counter()
     n = g.n
-    one = _one_round(g)
-    nt = len(one.v2)
+    nt = len(_survivors(g))
     if cfg.k >= nt:
         result = bc_one_round_mem(g, k=None)
         result.algorithm = "sample-peeled-ysplit"
         return result
+    one = _one_round(g)
     bc = [0.0] * n
     if n > 2:
         deg1_sub = [one.deg1[orig] for orig in one.v2]
@@ -127,7 +127,8 @@ def sample_bc_peeled(
             total = exact_acc[idx] + scale * sampled_acc[idx]
             bc[u] = (total + d1 * (2 * cu - 3 - d1)) / norm
     return BcResult(bc=bc, algorithm="sample-peeled-ysplit", k=cfg.k,
-                    seed=cfg.seed, elapsed=perf_counter() - start)
+                    seed=cfg.seed, elapsed=perf_counter() - start,
+                    peeled=one.decomp)
 
 
 def recommended_pivots(n_tilde, epsilon: float) -> int:

@@ -5,6 +5,8 @@ import multiprocessing
 
 import pytest
 
+import peelbc.cli
+import peelbc.peeling
 from peelbc import BcResult, Graph, fixture_path, peel_diagnostics
 from peelbc.cli import EXACT_ALGORITHMS, RunRecord, _make_record, main, scores_json
 
@@ -310,6 +312,34 @@ class TestRunRecord:
             report = peel_diagnostics(g)
             assert (record.n_tilde, record.m_tilde) == (report.n_tilde, report.m_tilde)
             assert list(record.round_fractions) == report.round_fractions
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--algorithm", "peel1", "--threads", "1"],
+        ["exact", "--algorithm", "brandes", "--threads", "1"],
+        ["sample", "--method", "peeled", "--k", "5"],
+        ["sample", "--method", "peeled", "--k", "5", "--exact-y-sources"],
+        ["sample", "--method", "peeled", "--k", "62", "--exact-y-sources"],
+    ], ids=["peel1", "brandes", "peeled", "ysplit", "ysplit-exact"])
+    def test_one_peel_per_call(self, argv, monkeypatch, tmp_path):
+        """The record reuses the algorithm's peel; a call that ran none
+        (brandes) peels once for the record."""
+        calls = []
+        real = peelbc.graph.peel
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(peelbc.cli, "peel", spy)
+        monkeypatch.setattr(peelbc.peeling, "peel", spy)
+        out = tmp_path / "scores.json"
+        assert main([argv[0], DOLPHINS, *argv[1:], "--format", "json",
+                     "--out", str(out)]) == 0
+        assert len(calls) == 1
+        run = json.loads(out.read_text())["run"]
+        report = peel_diagnostics(peelbc.cli.read_graph(DOLPHINS))
+        assert (run["n_tilde"], run["m_tilde"]) == (report.n_tilde, report.m_tilde)
+        assert run["round_fractions"] == report.round_fractions
 
     def test_csv_row_covers_every_field(self):
         row = self.RECORD.to_csv_row(include_timing=True)

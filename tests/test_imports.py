@@ -1,0 +1,67 @@
+"""numpy stays off every scoring path: only the oracle family loads it.
+
+Runs in a fresh interpreter, since the test session itself has numpy
+loaded long before any test starts.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = r"""
+import json
+import sys
+
+import peelbc
+import peelbc.cli
+from peelbc import bc_one_round_full, brandes_exact, fixture_path, read_graph
+
+out_dir = sys.argv[1]
+dolphins = str(fixture_path("soc-dolphins"))
+report = {"after_import": "numpy" in sys.modules}
+
+
+def scores(name, *argv):
+    path = f"{out_dir}/{name}.json"
+    assert peelbc.cli.main([argv[0], dolphins, *argv[1:], "--format", "json",
+                            "--out", path]) == 0, name
+    with open(path, encoding="utf-8") as fh:
+        return [row["bc"] for row in json.load(fh)["scores"]]
+
+
+brandes = scores("brandes", "exact", "--algorithm", "brandes", "--threads", "1")
+scores("peel1", "exact", "--algorithm", "peel1", "--threads", "1")
+scores("peeled", "sample", "--method", "peeled", "--k", "10")
+scores("baseline", "sample", "--method", "baseline", "--k", "10")
+report["after_scoring"] = "numpy" in sys.modules
+
+report["max_diff"] = {
+    name: max(abs(a - b) for a, b in zip(brandes, scores(name, "exact", "--algorithm", name)))
+    for name in ("oracle", "2core-recurrence")
+}
+g = read_graph(dolphins)
+full = bc_one_round_full(g)[0].bc
+report["max_diff"]["bc_one_round_full"] = max(
+    abs(a - b) for a, b in zip(brandes_exact(g).bc, full))
+report["after_oracles"] = "numpy" in sys.modules
+print(json.dumps(report))
+"""
+
+
+def test_scoring_leaves_numpy_unloaded(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert not report["after_import"]
+    assert not report["after_scoring"]
+    assert report["after_oracles"]  # loaded on demand by the oracle family
+    for name, diff in report["max_diff"].items():
+        assert diff <= 1e-9, name
