@@ -111,8 +111,18 @@ def _label_key(label):
 
 
 def label_order(g: Graph) -> list[int]:
-    """Node ids sorted by original label (numeric-aware)."""
-    return sorted(range(g.n), key=lambda v: _label_key(g.labels[v]))
+    """Node ids sorted by original label (numeric-aware).
+
+    Labels that parse as ints sort by value, ties keeping id order,
+    before the rest in text order (see _label_key).  When every label
+    parses, the int values alone are the sort keys.
+    """
+    texts = list(map(str, g.labels))
+    try:
+        keys = list(map(int, texts))
+    except ValueError:
+        keys = list(map(_label_key, texts))
+    return sorted(range(g.n), key=keys.__getitem__)
 
 
 def _make_record(dataset: str, g: Graph, result: BcResult,
@@ -148,38 +158,45 @@ def _json_number(x) -> str:
     return json.dumps(x)
 
 
-def scores_json(run: dict, scores) -> str:
-    """JSON score file text for (label, bc) rows, plus a final newline.
+def scores_json(run: dict, labels, values) -> str:
+    """JSON score file text for parallel label and bc lists, plus a final
+    newline.
 
     Byte for byte what json.dump({"run": run, "scores": [{"node": label,
     "bc": bc}, ...]}, sort_keys=True, indent=2) writes, from the
     primitives json itself uses, in one string: json.dump with indent
     runs the pure-Python encoder and writes chunk by chunk, which costs
-    more than the scoring of a small graph.
+    more than the scoring of a small graph.  When every bc is a finite
+    float (the sum of finite floats is finite or overflows to inf, so a
+    finite sum proves it), each row is float.__repr__ of bc beside the
+    escaped label; otherwise each value goes through _json_number.
     """
-    rows = ",\n".join(
-        f'    {{\n      "bc": {_json_number(bc)},\n'
-        f'      "node": {encode_basestring_ascii(label)}\n    }}'
-        for label, bc in scores
-    )
+    if set(map(type, values)) <= {float} and math.isfinite(sum(values)):
+        numbers = map(float.__repr__, values)
+    else:
+        numbers = map(_json_number, values)
+    rows = ",\n".join([
+        f'    {{\n      "bc": {bc},\n      "node": {label}\n    }}'
+        for bc, label in zip(numbers, map(encode_basestring_ascii, labels))
+    ])
     run_text = json.dumps(run, sort_keys=True, indent=2).replace("\n", "\n  ")
     scores_text = f"[\n{rows}\n  ]" if rows else "[]"
     return f'{{\n  "run": {run_text},\n  "scores": {scores_text}\n}}\n'
 
 
 def _write_scores(args, g: Graph, result: BcResult, record: RunRecord) -> None:
+    order = label_order(g)
+    labels = list(map(str, map(g.labels.__getitem__, order)))
+    values = list(map(result.bc.__getitem__, order))
     stream, close = _open_out(args.out)
     try:
-        order = label_order(g)
         if args.format == "csv":
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(["node", "bc"])
-            for v in order:
-                writer.writerow([str(g.labels[v]), _fmt(result.bc[v])])
+            writer.writerows(zip(labels, map(_fmt, values)))
         else:
             stream.write(scores_json(
-                record.to_json_obj(include_timing=args.timing),
-                [(str(g.labels[v]), result.bc[v]) for v in order],
+                record.to_json_obj(include_timing=args.timing), labels, values,
             ))
     finally:
         if close:

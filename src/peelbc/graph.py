@@ -10,7 +10,7 @@ nodes of degree exactly 1 until none remain, which exposes the maximal
 from __future__ import annotations
 
 import io
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +41,7 @@ class Graph:
     def __init__(self, adj: list[list[int]], labels=None):
         self.adj = adj
         self.n = len(adj)
-        self.m = sum(len(nbrs) for nbrs in adj) // 2
+        self.m = sum(map(len, adj)) // 2
         self.labels = list(labels) if labels is not None else list(range(self.n))
         if len(self.labels) != self.n:
             raise ValueError("labels length must match node count")
@@ -49,17 +49,26 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "Graph":
         """Build from (u, v) id pairs, dropping self-loops and duplicates."""
-        adj: list[list[int]] = [[] for _ in range(n)]
-        seen = set()
+        pairs = {}
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
+            if u != v:
+                pairs[(u, v) if u < v else (v, u)] = None
+        return cls._from_pairs(n, pairs, labels)
+
+    @classmethod
+    def _from_pairs(cls, n: int, pairs, labels=None) -> "Graph":
+        """Build from distinct (u, v) id pairs with 0 <= u < v < n.
+
+        The one adjacency builder: from_edges and the file loaders
+        check their edges and deduplicate them in a dict, which keeps
+        input order, then call it.  Lists grown in input order rather
+        than in set order made the later passes over them (peel, the
+        kernel) measurably faster.
+        """
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in pairs:
             adj[u].append(v)
             adj[v].append(u)
         for nbrs in adj:
@@ -98,12 +107,23 @@ class Graph:
         (and hence BFS tie-breaking) is preserved.
         """
         kept = sorted(keep)
-        pos = {orig: i for i, orig in enumerate(kept)}
-        adj = [[pos[w] for w in self.adj[orig] if w in pos] for orig in kept]
-        return Graph(adj, kept), kept
+        pos = [-1] * self.n
+        for i, orig in enumerate(kept):
+            pos[orig] = i
+        adj = self.adj
+        sub_adj = [[p for w in adj[orig] if (p := pos[w]) >= 0] for orig in kept]
+        return Graph(sub_adj, kept), kept
 
-    def component_ids(self) -> tuple[list[int], list[int]]:
-        """Connected-component id per node plus per-component sizes."""
+    def component_ids(self, weight=None) -> tuple[list[int], list[int]]:
+        """Connected-component id per node plus per-component sizes.
+
+        Ids follow the order of each component's lowest node.  With
+        `weight` (one number per node), a component's size is the sum
+        of its nodes' weights instead of their count.
+        """
+        if weight is None:
+            weight = [1] * self.n
+        adj = self.adj
         comp = [-1] * self.n
         sizes = []
         for start in range(self.n):
@@ -111,16 +131,16 @@ class Graph:
                 continue
             cid = len(sizes)
             comp[start] = cid
-            queue = deque([start])
-            count = 0
-            while queue:
-                v = queue.popleft()
-                count += 1
-                for w in self.adj[v]:
+            stack = [start]
+            size = 0
+            while stack:
+                v = stack.pop()
+                size += weight[v]
+                for w in adj[v]:
                     if comp[w] < 0:
                         comp[w] = cid
-                        queue.append(w)
-            sizes.append(count)
+                        stack.append(w)
+            sizes.append(size)
         return comp, sizes
 
     def __eq__(self, other):
@@ -134,57 +154,83 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _iter_text_lines(source):
-    """Yield text lines from a path, bytes, or (binary/text) file object."""
+def _split_lines(text: str) -> list[str]:
+    """`text` split at '\n', without the empty piece after a final one."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _text_lines(source):
+    """The text lines of a path, bytes, or (binary/text) file object.
+
+    A path or binary file object is read whole in text mode, which ends
+    a line at '\n', '\r' or '\r\n'.  Bytes end a line at '\n' only,
+    and a text file object is iterated as it stands, so the newline
+    setting it was opened with decides.  Other line-break characters
+    (such as '\x0b', '\x0c', '\x85' or '\u2028') are whitespace
+    inside a line, never line ends.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, "rb") as handle:
-            yield from io.TextIOWrapper(handle, encoding="utf-8")
-        return
+        with open(source, encoding="utf-8") as handle:
+            return _split_lines(handle.read())
     if isinstance(source, (bytes, bytearray)):
-        yield from io.StringIO(source.decode("utf-8"))
-        return
+        return _split_lines(source.decode("utf-8"))
     if hasattr(source, "read"):
-        first = source.read(0)
-        if isinstance(first, bytes):
-            yield from io.TextIOWrapper(source, encoding="utf-8")
-        else:
-            yield from source
-        return
+        if isinstance(source.read(0), bytes):
+            return _split_lines(io.TextIOWrapper(source, encoding="utf-8").read())
+        return source
     raise TypeError(f"unsupported graph source: {type(source)!r}")
 
 
 def load_edge_list(source) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
-    Each non-comment line holds exactly two labels; lines starting with
-    '#' or '%' and blank lines are skipped.  Self-loops are dropped and
-    duplicate edges collapsed, but every label seen (including on a
-    dropped self-loop) becomes a node.  Ids are assigned in
-    first-appearance order.
+    Each non-comment line holds exactly two labels; lines whose first
+    label starts with '#' or '%' and blank lines are skipped.  A line
+    ends at '\n', '\r' or '\r\n' (bytes input: '\n' only; see
+    _text_lines).  Self-loops are dropped and duplicate edges collapsed,
+    but every label seen (including on a dropped self-loop) becomes a
+    node.  Ids are assigned in first-appearance order.
     """
-    ids: dict = {}
-    edges = []
-    for lineno, raw in enumerate(_iter_text_lines(source), start=1):
-        line = raw.strip()
-        if not line or line[0] in "#%":
-            continue
+    ids: dict[str, int] = {}
+    get = ids.get
+    pairs: dict[tuple[int, int], None] = {}
+    for lineno, line in enumerate(_text_lines(source), start=1):
         parts = line.split()
         if len(parts) != 2:
+            if not parts or parts[0][0] in "#%":
+                continue
             raise GraphParseError(
                 f"expected two whitespace-separated labels, got {len(parts)}",
                 line=lineno,
             )
-        u = ids.setdefault(parts[0], len(ids))
-        v = ids.setdefault(parts[1], len(ids))
-        edges.append((u, v))
-    labels = [None] * len(ids)
-    for label, i in ids.items():
-        labels[i] = label
-    return Graph.from_edges(len(ids), edges, labels)
+        a, b = parts
+        if a[0] in "#%":
+            continue
+        u = get(a)
+        if u is None:
+            u = ids[a] = len(ids)
+        v = get(b)
+        if v is None:
+            v = ids[b] = len(ids)
+        if u != v:
+            pairs[(u, v) if u < v else (v, u)] = None
+    return Graph._from_pairs(len(ids), pairs, list(ids))
 
 
 _MM_FIELDS = {"pattern", "integer", "real"}
 _MM_SYMMETRIES = {"general", "symmetric"}
+
+# Largest node count a MatrixMarket size line may declare.  The graph
+# holds a list and a label per declared node before any entry is read,
+# and peeling and the kernels add a few more per-node lists: about
+# 100 bytes a node, so 2**24 nodes already take over 1.6 GB, while the
+# pure-Python kernels would need days on a graph that large.  Checking
+# the declaration first turns a huge or mistyped size line into a parse
+# error instead of an out-of-memory failure.
+MAX_DECLARED_NODES = 2**24
 
 
 def load_matrix_market(source) -> Graph:
@@ -193,10 +239,11 @@ def load_matrix_market(source) -> Graph:
     Accepts `matrix coordinate` with pattern/integer/real field and
     general/symmetric symmetry; numeric values are ignored.  Indices are
     1-based; the declared dimension fixes the node count, so isolated
-    nodes survive.  Cleanup matches load_edge_list (loops dropped,
+    nodes survive; it may not exceed MAX_DECLARED_NODES.  Lines end as
+    in load_edge_list.  Cleanup matches load_edge_list (loops dropped,
     duplicates and symmetric storage collapsed).
     """
-    lines = _iter_text_lines(source)
+    lines = iter(_text_lines(source))
     try:
         header = next(lines)
     except StopIteration:
@@ -216,14 +263,13 @@ def load_matrix_market(source) -> Graph:
         raise GraphFormatError(f"unsupported MatrixMarket symmetry: {symmetry}")
 
     rows = cols = nnz = None
-    edges = []
+    pairs: dict[tuple[int, int], None] = {}
     count = 0
     lineno = 1
-    for lineno, raw in enumerate(lines, start=2):
-        line = raw.strip()
-        if not line or line[0] == "%":
-            continue
+    for lineno, line in enumerate(lines, start=2):
         parts = line.split()
+        if not parts or parts[0][0] == "%":
+            continue
         if rows is None:
             if len(parts) != 3:
                 raise GraphParseError("size line must hold rows cols nnz", line=lineno)
@@ -233,6 +279,11 @@ def load_matrix_market(source) -> Graph:
                 raise GraphParseError("non-integer size line", line=lineno) from None
             if rows < 0 or cols < 0 or nnz < 0:
                 raise GraphParseError("negative size declaration", line=lineno)
+            if max(rows, cols) > MAX_DECLARED_NODES:
+                raise GraphParseError(
+                    f"declared {rows}x{cols} exceeds the limit of "
+                    f"{MAX_DECLARED_NODES} nodes", line=lineno,
+                )
             continue
         if len(parts) not in (2, 3):
             raise GraphParseError(
@@ -246,7 +297,8 @@ def load_matrix_market(source) -> Graph:
             raise GraphParseError(
                 f"entry ({i}, {j}) outside declared {rows}x{cols} bounds", line=lineno
             )
-        edges.append((i - 1, j - 1))
+        if i != j:
+            pairs[(i - 1, j - 1) if i < j else (j - 1, i - 1)] = None
         count += 1
     if rows is None:
         raise GraphParseError("missing size line", line=lineno)
@@ -255,7 +307,7 @@ def load_matrix_market(source) -> Graph:
             f"declared {nnz} entries but found {count}", line=lineno
         )
     n = max(rows, cols)
-    return Graph.from_edges(n, edges, labels=list(range(1, n + 1)))
+    return Graph._from_pairs(n, pairs, list(range(1, n + 1)))
 
 
 def read_graph(path, fmt: str | None = None) -> Graph:
@@ -331,23 +383,25 @@ def peel(g: Graph, max_rounds: int | None = None) -> PeelDecomposition:
     rounds: list[list[int]] = []
     anchors: dict[int, int] = {}
     while frontier and (max_rounds is None or len(rounds) < max_rounds):
-        this_round = sorted(v for v in frontier if alive[v] and deg[v] == 1)
+        this_round = sorted([v for v in frontier if deg[v] == 1])
         if not this_round:
             break
         for v in this_round:
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if alive[w]:
                     anchors[v] = w
                     break
         for v in this_round:
             alive[v] = 0
+        # a removed node's one live neighbour was its anchor; it loses
+        # a degree unless it was removed in this round too
         frontier = []
         for v in this_round:
-            for w in g.adj[v]:
-                if alive[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        frontier.append(w)
+            w = anchors[v]
+            if alive[w]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    frontier.append(w)
         rounds.append(this_round)
 
     core = [v for v in range(n) if alive[v]]
@@ -389,7 +443,7 @@ def peel_sizes(g: Graph, decomp: PeelDecomposition) -> tuple[int, int, list[floa
     has deg1 == 1), so m_tilde needs no edge scan.
     """
     round0 = decomp.rounds[0] if decomp.rounds else []
-    two_node_components = sum(decomp.deg1[v] for v in round0) // 2
+    two_node_components = sum(map(decomp.deg1.__getitem__, round0)) // 2
     fractions = [len(r) / g.n for r in decomp.rounds]
     return g.n - len(round0), g.m - len(round0) + two_node_components, fractions
 

@@ -73,15 +73,15 @@ def accumulate_delta_zeta(
 
 @dataclass
 class _OneRound:
-    """Shared setup for the one-round algorithms; decomp is the full
-    peel, handed on in BcResult.peeled so the record need not peel."""
+    """Shared setup for the one-round algorithms.  comp_size[i] is the
+    size, in g, of the component holding survivor v2[i]; decomp is the
+    full peel, handed on in BcResult.peeled so the record need not peel."""
 
     v1: list[int]
     v2: list[int]
     deg1: list[int]
     sub: Graph
-    comp_id: list[int]
-    comp_size_of: list[int]
+    comp_size: list[int]
     decomp: PeelDecomposition
 
 
@@ -91,14 +91,20 @@ def _survivors(g: Graph) -> list[int]:
 
 
 def _one_round(g: Graph) -> _OneRound:
+    """Peel g, build the survivor subgraph and size each survivor's
+    component.  One round removes only leaves, so the survivors of a
+    component of g stay connected in the subgraph, and the component
+    holds them plus their degree-1 neighbours: its size is the sum of
+    1 + deg1 over its survivors.  (A two-node component has no
+    survivor and needs no size.)"""
     decomp = peel(g)
+    deg1 = decomp.deg1
     v2 = _survivors(g)
     sub, _ = g.subgraph(v2)
-    comp_id, comp_sizes = g.component_ids()
-    comp_size_of = [comp_sizes[c] for c in comp_id]
+    comp_id, sizes = sub.component_ids(weight=[1 + deg1[v] for v in v2])
     return _OneRound(v1=decomp.rounds[0] if decomp.rounds else [], v2=v2,
-                     deg1=decomp.deg1, sub=sub, comp_id=comp_id,
-                     comp_size_of=comp_size_of, decomp=decomp)
+                     deg1=deg1, sub=sub,
+                     comp_size=[sizes[c] for c in comp_id], decomp=decomp)
 
 
 def _pick_sources(nt: int, k: int | None, seed: int | None):
@@ -151,7 +157,7 @@ def bc_one_round_mem(
         norm = _normalizer(n)
         for idx, u in enumerate(one.v2):
             d1 = one.deg1[u]
-            cu = one.comp_size_of[u]
+            cu = one.comp_size[idx]
             bc[u] = (acc[idx] + d1 * (2 * cu - 3 - d1)) / norm
     return BcResult(
         bc=bc,
@@ -210,6 +216,7 @@ def bc_one_round_full(
         delta *= scale
         zeta *= scale
 
+    comp_id, comp_sizes = g.component_ids()
     pos = {orig: i for i, orig in enumerate(one.v2)}
     degrees = [len(g.adj[v]) for v in range(n)]
     for v in one.v1:
@@ -218,16 +225,16 @@ def bc_one_round_full(
             continue  # two-node component: no paths leave it
         ai = pos[a]
         delta[v, :] = delta[a, :] + zeta[ai, :]
-        delta[v, ai] = one.comp_size_of[v] - 2
+        delta[v, ai] = comp_sizes[comp_id[v]] - 2
     if nt:
         delta[np.array(one.v2), :] += zeta
-    comp_arr = np.array(one.comp_id) if n else np.zeros(0, dtype=int)
+    comp_arr = np.array(comp_id) if n else np.zeros(0, dtype=int)
     for idx, u in enumerate(one.v2):
         d1 = one.deg1[u]
         if not d1:
             continue
         col = delta[:, idx]
-        col[comp_arr == one.comp_id[u]] += d1
+        col[comp_arr == comp_id[u]] += d1
         col[u] -= d1
         for w in g.adj[u]:
             if degrees[w] == 1:

@@ -123,7 +123,7 @@ def sample_bc_peeled(
         norm = _normalizer(n)
         for idx, u in enumerate(one.v2):
             d1 = one.deg1[u]
-            cu = one.comp_size_of[u]
+            cu = one.comp_size[idx]
             total = exact_acc[idx] + scale * sampled_acc[idx]
             bc[u] = (total + d1 * (2 * cu - 3 - d1)) / norm
     return BcResult(bc=bc, algorithm="sample-peeled-ysplit", k=cfg.k,

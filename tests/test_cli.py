@@ -7,8 +7,16 @@ import pytest
 
 import peelbc.cli
 import peelbc.peeling
-from peelbc import BcResult, Graph, fixture_path, peel_diagnostics
-from peelbc.cli import EXACT_ALGORITHMS, RunRecord, _make_record, main, scores_json
+from peelbc import BcResult, Graph, fixture_path, load_matrix_market, peel_diagnostics
+from peelbc.cli import (
+    EXACT_ALGORITHMS,
+    RunRecord,
+    _label_key,
+    _make_record,
+    label_order,
+    main,
+    scores_json,
+)
 
 from conftest import corpus
 
@@ -93,6 +101,14 @@ class TestExact:
         bad.write_text("a b c\n")
         assert main(["exact", str(bad)]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    def test_oversized_mtx_declaration_fails_with_one_line(self, capsys, tmp_path):
+        huge = tmp_path / "huge.mtx"
+        huge.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n"
+                        "1000000000000 1000000000000 0\n")
+        assert main(["exact", str(huge)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2:") and err.count("\n") == 1
 
     def test_oracle_size_cap_refusal(self, capsys, tmp_path):
         big = tmp_path / "big.edges"
@@ -190,9 +206,38 @@ class TestScoreWriter:
                 ("big", 1e300), ("tiny", 5e-324), ("neg", -0.0), ("\x00\u2028", 0.1)]
         payload = {"run": run, "scores": [{"node": a, "bc": b} for a, b in rows]}
         expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        assert scores_json(run, rows) == expected
+        assert scores_json(run, *zip(*rows)) == expected
         empty = {"run": run, "scores": []}
-        assert scores_json(run, []) == json.dumps(empty, sort_keys=True, indent=2) + "\n"
+        assert scores_json(run, [], []) == json.dumps(empty, sort_keys=True, indent=2) + "\n"
+
+    def test_one_nan_among_finite_values(self):
+        run = {"n": 3}
+        rows = [("a", 0.25), ("b", math.nan), ("c", 1e-300)]
+        payload = {"run": run, "scores": [{"node": a, "bc": b} for a, b in rows]}
+        assert scores_json(run, *zip(*rows)) == json.dumps(
+            payload, sort_keys=True, indent=2) + "\n"
+
+
+def reference_label_order(g: Graph) -> list[int]:
+    return sorted(range(g.n), key=lambda v: _label_key(g.labels[v]))
+
+
+@pytest.mark.parametrize("labels", [
+    ["5", "05", "+5", "-3", " 7", "1_000", "\u0663", "a", ""],
+    ["5", "05", "+5", "-3", " 7", "1_000", "\u0663", "3", "-3"],
+    ["b", "a", "10", "9", "a"],
+    [],
+])
+def test_label_order_matches_per_label_keys(labels):
+    g = Graph([[] for _ in labels], labels)
+    assert label_order(g) == reference_label_order(g)
+
+
+def test_label_order_of_mtx_int_labels():
+    g = load_matrix_market(
+        b"%%MatrixMarket matrix coordinate pattern general\n12 12 2\n12 1\n3 10\n")
+    assert g.labels == list(range(1, 13))
+    assert label_order(g) == reference_label_order(g) == list(range(12))
 
 
 class TestSample:

@@ -1,4 +1,6 @@
 import io
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from peelbc import (
     read_graph,
     write_edge_list,
 )
+
+from peelbc.graph import MAX_DECLARED_NODES
 
 from conftest import corpus_graph
 
@@ -102,9 +106,197 @@ class TestLoadMatrixMarket:
         with pytest.raises(GraphParseError):
             load_matrix_market(MM_HEADER + b"3 3 2\n1 2\n")
 
+    def test_oversized_declaration_rejected_before_allocating(self):
+        with pytest.raises(GraphParseError) as err:
+            load_matrix_market(MM_HEADER + b"% huge\n1000000000000 1000000000000 0\n")
+        assert err.value.line == 3
+        with pytest.raises(GraphParseError):
+            load_matrix_market(MM_HEADER + f"1 {MAX_DECLARED_NODES + 1} 0\n".encode())
+        g = load_matrix_market(MM_HEADER + b"1 2 1\n1 2\n")
+        assert (g.n, g.m) == (2, 1)
+
     def test_wiki_vote_fixture_counts(self):
         g = load_fixture("soc-wiki-Vote")
         assert (g.n, g.m) == (889, 2914)
+
+
+# Reference loaders: the line-by-line parsers the package used before it
+# read each input whole.  Each source kind keeps its own line ends: a path
+# or binary file object is read in text mode ('\n', '\r', '\r\n'), bytes
+# and a StringIO end lines at '\n' only.
+
+
+def ref_text_lines(source):
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as handle:
+            yield from io.TextIOWrapper(handle, encoding="utf-8")
+        return
+    if isinstance(source, (bytes, bytearray)):
+        yield from io.StringIO(source.decode("utf-8"))
+        return
+    first = source.read(0)
+    if isinstance(first, bytes):
+        yield from io.TextIOWrapper(source, encoding="utf-8")
+    else:
+        yield from source
+
+
+def ref_load_edge_list(source) -> Graph:
+    ids: dict = {}
+    edges = []
+    for lineno, raw in enumerate(ref_text_lines(source), start=1):
+        line = raw.strip()
+        if not line or line[0] in "#%":
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphParseError("two labels", line=lineno)
+        u = ids.setdefault(parts[0], len(ids))
+        v = ids.setdefault(parts[1], len(ids))
+        edges.append((u, v))
+    return Graph.from_edges(len(ids), edges, list(ids))
+
+
+def ref_load_matrix_market(source) -> Graph:
+    lines = ref_text_lines(source)
+    try:
+        header = next(lines)
+    except StopIteration:
+        raise GraphParseError("empty", line=1) from None
+    tokens = header.strip().split()
+    if not tokens or not tokens[0].startswith("%%MatrixMarket"):
+        raise GraphFormatError("header")
+    rows = cols = nnz = None
+    edges = []
+    lineno = 1
+    for lineno, raw in enumerate(lines, start=2):
+        line = raw.strip()
+        if not line or line[0] == "%":
+            continue
+        parts = line.split()
+        if rows is None:
+            if len(parts) != 3:
+                raise GraphParseError("size line", line=lineno)
+            try:
+                rows, cols, nnz = (int(p) for p in parts)
+            except ValueError:
+                raise GraphParseError("size line", line=lineno) from None
+            if rows < 0 or cols < 0 or nnz < 0:
+                raise GraphParseError("size line", line=lineno)
+            continue
+        if len(parts) not in (2, 3):
+            raise GraphParseError("entry", line=lineno)
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError("entry", line=lineno) from None
+        if not (1 <= i <= rows) or not (1 <= j <= cols):
+            raise GraphParseError("bounds", line=lineno)
+        edges.append((i - 1, j - 1))
+    if rows is None:
+        raise GraphParseError("missing size line", line=lineno)
+    if len(edges) != nnz:
+        raise GraphParseError("count", line=lineno)
+    n = max(rows, cols)
+    return Graph.from_edges(n, edges, labels=list(range(1, n + 1)))
+
+
+LINE_ENDS = ["\n", "\r", "\r\n"]
+EDGE_TOKENS = ["a", "b", "1", "01", "1", "é", "日本", "#a", "x#", "c%", "٣"]
+# whitespace inside a line; the last four are line breaks to str.splitlines
+SPACES = [" ", "  ", "\t", "　", "\x0b", "\x0c", "\x1c", "\x85", " "]
+
+
+def random_words(rng: random.Random, tokens: list[str], count: int) -> list[str]:
+    kind = rng.random()
+    if kind < 0.1:
+        return []
+    if kind < 0.2:  # comment, possibly of two tokens such as "#a b"
+        return [rng.choice("#%") + rng.choice(["", "a", "#"])] + rng.sample(tokens, 2)[:rng.randrange(3)]
+    if kind < 0.24:
+        count = rng.choice([count - 1, count + 1])
+    return [rng.choice(tokens) for _ in range(count)]
+
+
+def random_text(rng: random.Random, lines: list[list[str]]) -> str:
+    """The lines' words joined by random whitespace, with random line ends."""
+    end = rng.choice(LINE_ENDS)
+    texts = []
+    for words in lines:
+        pad = [rng.choice(["", rng.choice(SPACES)]) for _ in range(2)]
+        texts.append(pad[0] + rng.choice(SPACES[:3]).join(words) + pad[1])
+    ends = [end if rng.random() < 0.8 else rng.choice(LINE_ENDS) for _ in texts]
+    text = "".join(a + b for a, b in zip(texts, ends))
+    if texts and rng.random() < 0.3:
+        text = text[: -len(ends[-1])]  # no final line end
+    return text
+
+
+def random_edge_list(rng: random.Random) -> str:
+    return random_text(rng, [random_words(rng, EDGE_TOKENS, 2)
+                             for _ in range(rng.randrange(8))])
+
+
+def random_matrix_market(rng: random.Random) -> str:
+    rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
+    entries = [
+        random_words(rng, ["1", "2", "5", "x", "0.5"], 2) if rng.random() < 0.2
+        else [str(rng.randrange(1, rows + 1)), str(rng.randrange(1, cols + 1))]
+        + ["0.5"] * rng.randrange(2)
+        for _ in range(rng.randrange(7))
+    ]
+    nnz = sum(1 for words in entries if words and words[0][0] not in "#%")
+    if rng.random() < 0.2:
+        nnz = rng.randrange(4)
+    lines = [["%%MatrixMarket", "matrix", "coordinate", "pattern", "symmetric"],
+             ["%", "comment"] if rng.random() < 0.2 else [],
+             [str(rows), str(cols), str(nnz)][:rng.choice([3] * 9 + [2])]]
+    return random_text(rng, lines + entries)
+
+
+def sources(data: bytes, path: Path):
+    """The same input as each kind of source the loaders take."""
+    path.write_bytes(data)
+    yield "bytes", lambda: data
+    yield "path", lambda: path
+    yield "str path", lambda: str(path)
+    yield "binary file", lambda: io.BytesIO(data)
+    yield "StringIO", lambda: io.StringIO(data.decode("utf-8"))
+    yield "text file", lambda: open(path, encoding="utf-8")
+
+
+def outcome(load, make):
+    source = make()
+    try:
+        g = load(source)
+    except (GraphParseError, GraphFormatError) as exc:
+        return type(exc), exc.line if isinstance(exc, GraphParseError) else None
+    finally:
+        if hasattr(source, "close"):
+            source.close()
+    return g.adj, g.labels
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_edge_list_matches_reference_loader(seed, tmp_path):
+    rng = random.Random(seed)
+    path = tmp_path / "g.edges"
+    for _ in range(120):
+        data = random_edge_list(rng).encode("utf-8")
+        for kind, make in sources(data, path):
+            assert outcome(load_edge_list, make) == outcome(ref_load_edge_list, make), (
+                kind, data)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_market_matches_reference_loader(seed, tmp_path):
+    rng = random.Random(seed)
+    path = tmp_path / "g.mtx"
+    for _ in range(120):
+        data = random_matrix_market(rng).encode("utf-8")
+        for kind, make in sources(data, path):
+            assert outcome(load_matrix_market, make) == outcome(
+                ref_load_matrix_market, make), (kind, data)
 
 
 class TestReadGraph:

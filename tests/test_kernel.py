@@ -123,9 +123,10 @@ def ref_baseline(g: Graph, cfg: SampleConfig) -> list[float]:
 def _pendant_terms(g: Graph, one, acc: list[float]) -> list[float]:
     bc = [0.0] * g.n
     norm = _normalizer(g.n)
+    comp, sizes = g.component_ids()
     for idx, u in enumerate(one.v2):
         d1 = one.deg1[u]
-        bc[u] = (acc[idx] + d1 * (2 * one.comp_size_of[u] - 3 - d1)) / norm
+        bc[u] = (acc[idx] + d1 * (2 * sizes[comp[u]] - 3 - d1)) / norm
     return bc
 
 
