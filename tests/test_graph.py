@@ -203,8 +203,8 @@ def ref_load_matrix_market(source) -> Graph:
 
 LINE_ENDS = ["\n", "\r", "\r\n"]
 EDGE_TOKENS = ["a", "b", "1", "01", "1", "é", "日本", "#a", "x#", "c%", "٣"]
-# whitespace inside a line; the last four are line breaks to str.splitlines
-SPACES = [" ", "  ", "\t", "　", "\x0b", "\x0c", "\x1c", "\x85", " "]
+# whitespace inside a line; str.splitlines would break a line at the last five
+SPACES = [" ", "  ", "\t", "\u3000", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
 
 
 def random_words(rng: random.Random, tokens: list[str], count: int) -> list[str]:
@@ -212,7 +212,8 @@ def random_words(rng: random.Random, tokens: list[str], count: int) -> list[str]
     if kind < 0.1:
         return []
     if kind < 0.2:  # comment, possibly of two tokens such as "#a b"
-        return [rng.choice("#%") + rng.choice(["", "a", "#"])] + rng.sample(tokens, 2)[:rng.randrange(3)]
+        head = rng.choice("#%") + rng.choice(["", "a", "#"])
+        return [head] + rng.sample(tokens, 2)[:rng.randrange(3)]
     if kind < 0.24:
         count = rng.choice([count - 1, count + 1])
     return [rng.choice(tokens) for _ in range(count)]
