@@ -1,9 +1,9 @@
 """Betweenness centrality with degree-1 peeling.
 
-Exact scoring (Brandes-style accumulation, one-round peeling in
-full-information and memory-efficient variants, and a 2-core
-recurrence), pivot-sampling estimators with sample-size recommenders,
-core-periphery generators, and brute-force oracles for testing.
+Exact scoring (Brandes-style accumulation, memory-efficient one-round
+peeling, and a 2-core recurrence), pivot-sampling estimators with
+sample-size recommenders, core-periphery generators, and brute-force
+oracles for testing.
 """
 
 from .datasets import fixture_names, fixture_path, load_fixture
@@ -31,10 +31,7 @@ from .graph import (
     write_edge_list,
 )
 from .peeling import (
-    DeltaZetaTable,
-    TableSizeError,
     accumulate_delta_zeta,
-    bc_one_round_full,
     bc_one_round_mem,
     bc_via_2core_recurrence,
     two_core_sigma_rounds,
@@ -61,7 +58,6 @@ __all__ = [
     "Attachment",
     "BcResult",
     "CorePeripherySpec",
-    "DeltaZetaTable",
     "ErrorReport",
     "Graph",
     "GraphFormatError",
@@ -70,10 +66,8 @@ __all__ = [
     "PeelReport",
     "SampleConfig",
     "SsspTree",
-    "TableSizeError",
     "accumulate",
     "accumulate_delta_zeta",
-    "bc_one_round_full",
     "bc_one_round_mem",
     "bc_via_2core_recurrence",
     "bernstein_pivot_bound",

@@ -2,9 +2,7 @@
 
 Output files are deterministic for fixed flags and seed: timing is
 reported on stderr (or opted into serialized records with --timing), so
-reruns produce byte-identical score and table files.  The speedup bench
-suite is the one exception, since wall-clock measurements are its
-payload.
+reruns produce byte-identical score and table files.
 """
 
 from __future__ import annotations
@@ -14,12 +12,10 @@ import csv
 import json
 import math
 import os
-import statistics
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from time import perf_counter
 
 from .exact import ORACLE_SIZE_WARNING, BcResult, brandes_exact, oracle_bc
 from .graph import (
@@ -413,54 +409,10 @@ def bench_pivot_sweep(args) -> int:
     return 0
 
 
-def _median_time(fn, repeats: int = 3) -> float:
-    times = []
-    for _ in range(repeats):
-        t0 = perf_counter()
-        fn()
-        times.append(perf_counter() - t0)
-    return statistics.median(times)
-
-
-def bench_speedup(args) -> int:
-    """Wall-time ratio of plain exact vs one-round-peeled exact.
-
-    Timing is the payload here, so this table is measurement-dependent
-    and not byte-reproducible across runs.
-    """
-    out_dir = Path(args.out)
-    graphs: list[tuple[str, Graph]] = []
-    for path in args.datasets:
-        graphs.append((Path(path).name, read_graph(path)))
-    if not graphs:
-        spec = CorePeripherySpec(core_size=args.core, v1_count=3000)
-        graphs.append(("core-periphery-3000", generate_core_periphery(spec)))
-    handle, writer = _bench_writer(out_dir, "speedup.csv")
-    with handle:
-        writer.writerow(
-            ["dataset", "n", "m", "survivor_fraction",
-             "brandes_s", "peel1_s", "speedup"]
-        )
-        for name, g in graphs:
-            report = peel_diagnostics(g)
-            t_brandes = _median_time(lambda: brandes_exact(g, threads=args.threads))
-            t_peel = _median_time(lambda: bc_one_round_mem(g, threads=args.threads))
-            ratio = t_brandes / t_peel if t_peel > 0 else float("inf")
-            writer.writerow(
-                [name, g.n, g.m, _fmt(report.survivor_fraction),
-                 _fmt(t_brandes), _fmt(t_peel), _fmt(ratio)]
-            )
-            _note(f"{name}: brandes {t_brandes:.3f}s, peel1 {t_peel:.3f}s, "
-                  f"ratio {ratio:.2f}x")
-    return 0
-
-
 def cmd_bench(args) -> int:
     if args.suite == "synth-growth":
         return bench_synth_growth(args)
-    if args.suite == "pivot-sweep":
-        return bench_pivot_sweep(args)
-    return bench_speedup(args)
+    return bench_pivot_sweep(args)
 
 
 def _seed_value(text: str) -> int:
@@ -529,10 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench", help="benchmark suites emitting CSV tables")
-    p.add_argument("--suite", choices=("synth-growth", "pivot-sweep", "speedup"),
+    p.add_argument("--suite", choices=("synth-growth", "pivot-sweep"),
                    required=True)
-    p.add_argument("datasets", nargs="*",
-                   help="graph files (pivot-sweep and speedup suites)")
+    p.add_argument("datasets", nargs="*", help="graph files (pivot-sweep suite)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--k", type=int, default=10)

@@ -165,21 +165,25 @@ def _split_lines(text: str) -> list[str]:
 def _text_lines(source):
     """The text lines of a path, bytes, or (binary/text) file object.
 
-    A path or binary file object is read whole in text mode, which ends
-    a line at '\n', '\r' or '\r\n'.  Bytes end a line at '\n' only,
-    and a text file object is iterated as it stands, so the newline
-    setting it was opened with decides.  Other line-break characters
-    (such as '\x0b', '\x0c', '\x85' or '\u2028') are whitespace
-    inside a line, never line ends.
+    A path, bytes or binary file object is read whole in text mode,
+    which ends a line at '\n', '\r' or '\r\n'.  A text file object is
+    iterated as it stands, so the newline setting it was opened with
+    decides.  Other line-break characters (such as '\x0b', '\x0c',
+    '\x85' or '\u2028') are whitespace inside a line, never line ends.
+    A file object passed in is left open.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as handle:
             return _split_lines(handle.read())
     if isinstance(source, (bytes, bytearray)):
-        return _split_lines(source.decode("utf-8"))
+        source = io.BytesIO(source)
     if hasattr(source, "read"):
         if isinstance(source.read(0), bytes):
-            return _split_lines(io.TextIOWrapper(source, encoding="utf-8").read())
+            text = io.TextIOWrapper(source, encoding="utf-8")
+            try:
+                return _split_lines(text.read())
+            finally:
+                text.detach()  # a collected wrapper would close the stream
         return source
     raise TypeError(f"unsupported graph source: {type(source)!r}")
 
@@ -189,10 +193,11 @@ def load_edge_list(source) -> Graph:
 
     Each non-comment line holds exactly two labels; lines whose first
     label starts with '#' or '%' and blank lines are skipped.  A line
-    ends at '\n', '\r' or '\r\n' (bytes input: '\n' only; see
-    _text_lines).  Self-loops are dropped and duplicate edges collapsed,
-    but every label seen (including on a dropped self-loop) becomes a
-    node.  Ids are assigned in first-appearance order.
+    ends at '\n', '\r' or '\r\n' (a text file object: as its newline
+    setting says; see _text_lines).  Self-loops are dropped and
+    duplicate edges collapsed, but every label seen (including on a
+    dropped self-loop) becomes a node.  Ids are assigned in
+    first-appearance order.
     """
     ids: dict[str, int] = {}
     get = ids.get

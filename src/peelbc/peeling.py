@@ -1,14 +1,13 @@
 """Betweenness centrality through degree-1 peeling.
 
-Two families live here.  The one-round algorithms remove the degree-1
-nodes once, run dependency accumulation only on the peeled graph, and
-reconstruct the full-graph scores exactly from closed-form pendant terms
-plus an auxiliary pendant-weighted dependency (zeta).  The 2-core
+Two families live here.  The one-round algorithm removes the degree-1
+nodes once, runs dependency accumulation only on the peeled graph, and
+reconstructs the full-graph scores exactly from closed-form pendant
+terms plus an auxiliary pendant-weighted dependency (zeta).  The 2-core
 recurrence is the oracle-grade multi-round variant: it peels to the
 2-core, solves it with the brute-force matrices, and rolls scores back
-round by round.  Only the full-information tables and the recurrence
-use numpy, and they import it when called, so the one-round algorithms
-never load it.
+round by round.  Only the recurrence uses numpy, and it imports it when
+called, so the one-round algorithm never loads it.
 
 All closed-form terms use the size of a node's connected component where
 a connected graph's formulas would use n, so disconnected inputs (where
@@ -37,36 +36,18 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class TableSizeError(ValueError):
-    """The full-information tables would exceed the configured memory cap."""
-
-
-@dataclass
-class DeltaZetaTable:
-    """Dense dependency tables from the full-information one-round run.
-
-    Columns cover only the surviving nodes (node_ids, ascending original
-    ids); columns for removed degree-1 nodes would be identically zero
-    and are never stored.  delta[s, j] is the dependency of source s
-    (any node, by original id) on survivor node_ids[j] in the input
-    graph; zeta[i, j] is the pendant-weighted dependency between
-    survivors i and j of the peeled graph.
-    """
-
-    node_ids: list[int]
-    delta: np.ndarray
-    zeta: np.ndarray
-
-
 def accumulate_delta_zeta(
     g: Graph, s: int, deg1: list[int]
 ) -> tuple[list[float], list[float]]:
     """Dependency and pendant-weighted dependency rows of source s.
 
-    Runs on the peeled graph g; deg1 gives, per node of g, its count of
-    removed degree-1 neighbors in the original graph.  The zeta
-    recursion is the dependency one with deg1(w) in the role of the +1
-    target term, so each row is one kernel pass.
+    The one-round algorithms accumulate only the sum psi = delta + zeta,
+    in one pass; this keeps the two rows apart, so that tests can check
+    zeta against its brute-force definition.  Runs on the peeled graph
+    g; deg1 gives, per node of g, its count of removed degree-1
+    neighbors in the original graph.  The zeta recursion is the
+    dependency one with deg1(w) in the role of the +1 target term, so
+    each row is one kernel pass.
     """
     return accumulate(g, [s]), accumulate(g, [s], target=deg1)
 
@@ -77,7 +58,6 @@ class _OneRound:
     size, in g, of the component holding survivor v2[i]; decomp is the
     full peel, handed on in BcResult.peeled so the record need not peel."""
 
-    v1: list[int]
     v2: list[int]
     deg1: list[int]
     sub: Graph
@@ -102,9 +82,18 @@ def _one_round(g: Graph) -> _OneRound:
     v2 = _survivors(g)
     sub, _ = g.subgraph(v2)
     comp_id, sizes = sub.component_ids(weight=[1 + deg1[v] for v in v2])
-    return _OneRound(v1=decomp.rounds[0] if decomp.rounds else [], v2=v2,
-                     deg1=deg1, sub=sub,
+    return _OneRound(v2=v2, deg1=deg1, sub=sub,
                      comp_size=[sizes[c] for c in comp_id], decomp=decomp)
+
+
+def _add_pendant_terms(bc: list[float], one: _OneRound, acc: list[float]) -> None:
+    """Write each survivor's score into bc: its accumulated sum acc[i]
+    plus the closed-form pendant term, normalized."""
+    norm = _normalizer(len(bc))
+    for idx, u in enumerate(one.v2):
+        d1 = one.deg1[u]
+        cu = one.comp_size[idx]
+        bc[u] = (acc[idx] + d1 * (2 * cu - 3 - d1)) / norm
 
 
 def _pick_sources(nt: int, k: int | None, seed: int | None):
@@ -154,11 +143,7 @@ def bc_one_round_mem(
         if sampled:
             scale = nt / k
             acc = [x * scale for x in acc]
-        norm = _normalizer(n)
-        for idx, u in enumerate(one.v2):
-            d1 = one.deg1[u]
-            cu = one.comp_size[idx]
-            bc[u] = (acc[idx] + d1 * (2 * cu - 3 - d1)) / norm
+        _add_pendant_terms(bc, one, acc)
     return BcResult(
         bc=bc,
         algorithm="peel1-mem",
@@ -167,94 +152,6 @@ def bc_one_round_mem(
         elapsed=perf_counter() - start,
         peeled=one.decomp,
     )
-
-
-def bc_one_round_full(
-    g: Graph,
-    k: int | None = None,
-    seed: int | None = None,
-    max_table_bytes: int = 1 << 30,
-) -> tuple[BcResult, DeltaZetaTable]:
-    """One-round peeling keeping the full dependency tables.
-
-    Produces the same scores as bc_one_round_mem plus the dense
-    delta/zeta tables over all sources and surviving columns.  The
-    update per survivor column u: a pendant neighbor of u as source
-    depends on u for every other node it can reach (component size - 2);
-    any other removed pendant inherits its unique neighbor's row
-    (delta + zeta); surviving sources gain their zeta entry; finally
-    every source that reaches u, other than u itself and its pendant
-    neighbors, gains deg1(u) for the paths ending at those pendants.
-
-    The tables take (n + survivors) * survivors floats; if the estimate
-    exceeds max_table_bytes a TableSizeError directs callers to
-    bc_one_round_mem.
-    """
-    import numpy as np
-    start = perf_counter()
-    n = g.n
-    one = _one_round(g)
-    nt = len(one.v2)
-    estimated = 8 * (n * nt + nt * nt)
-    if estimated > max_table_bytes:
-        raise TableSizeError(
-            f"full-information tables need about {estimated} bytes for "
-            f"n={n}, survivors={nt} (cap {max_table_bytes}); use "
-            "bc_one_round_mem instead"
-        )
-    sources, sampled = _pick_sources(nt, k, seed)
-
-    delta = np.zeros((n, nt))
-    zeta = np.zeros((nt, nt))
-    deg1_sub = [one.deg1[orig] for orig in one.v2]
-    for s in sources:
-        drow, zrow = accumulate_delta_zeta(one.sub, s, deg1_sub)
-        delta[one.v2[s], :] = drow
-        zeta[s, :] = zrow
-    if sampled:
-        scale = nt / k
-        delta *= scale
-        zeta *= scale
-
-    comp_id, comp_sizes = g.component_ids()
-    pos = {orig: i for i, orig in enumerate(one.v2)}
-    degrees = [len(g.adj[v]) for v in range(n)]
-    for v in one.v1:
-        a = g.adj[v][0]
-        if degrees[a] == 1:
-            continue  # two-node component: no paths leave it
-        ai = pos[a]
-        delta[v, :] = delta[a, :] + zeta[ai, :]
-        delta[v, ai] = comp_sizes[comp_id[v]] - 2
-    if nt:
-        delta[np.array(one.v2), :] += zeta
-    comp_arr = np.array(comp_id) if n else np.zeros(0, dtype=int)
-    for idx, u in enumerate(one.v2):
-        d1 = one.deg1[u]
-        if not d1:
-            continue
-        col = delta[:, idx]
-        col[comp_arr == comp_id[u]] += d1
-        col[u] -= d1
-        for w in g.adj[u]:
-            if degrees[w] == 1:
-                col[w] -= d1
-
-    bc = [0.0] * n
-    if n > 2:
-        sums = delta.sum(axis=0)
-        norm = _normalizer(n)
-        for idx, u in enumerate(one.v2):
-            bc[u] = float(sums[idx]) / norm
-    result = BcResult(
-        bc=bc,
-        algorithm="peel1-full",
-        k=k if sampled else None,
-        seed=seed if sampled else None,
-        elapsed=perf_counter() - start,
-        peeled=one.decomp,
-    )
-    return result, DeltaZetaTable(node_ids=list(one.v2), delta=delta, zeta=zeta)
 
 
 def _extend_sigma(

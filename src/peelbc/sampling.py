@@ -17,33 +17,21 @@ from time import perf_counter
 from .exact import BcResult, _normalizer, accumulate_chunked
 from .exact import sssp_bfs  # noqa: F401  (bound here for the benchmark's tracer)
 from .graph import Graph
-from .peeling import _one_round, _survivors, bc_one_round_mem
+from .peeling import _add_pendant_terms, _one_round, _survivors, bc_one_round_mem
 
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Pivot-sampling parameters.
-
-    epsilon/delta_conf are only consumed by the sample-size
-    recommenders; the estimators need k and seed.
-    """
+    """Pivot-sampling parameters: pivot count k and seed."""
 
     k: int
     seed: int = 0
-    epsilon: float | None = None
-    delta_conf: float | None = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"pivot count must be >= 1, got {self.k}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.epsilon is not None and not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.delta_conf is not None and not 0 < self.delta_conf < 1:
-            raise ValueError(
-                f"delta_conf must lie in (0, 1), got {self.delta_conf}"
-            )
 
 
 @dataclass
@@ -120,12 +108,8 @@ def sample_bc_peeled(
         pivots = rng.sample(range(nt), cfg.k)
         sampled_acc = accumulate_chunked(one.sub, pivots, target)
         scale = (nt - 1) / cfg.k
-        norm = _normalizer(n)
-        for idx, u in enumerate(one.v2):
-            d1 = one.deg1[u]
-            cu = one.comp_size[idx]
-            total = exact_acc[idx] + scale * sampled_acc[idx]
-            bc[u] = (total + d1 * (2 * cu - 3 - d1)) / norm
+        total = [e + scale * s for e, s in zip(exact_acc, sampled_acc)]
+        _add_pendant_terms(bc, one, total)
     return BcResult(bc=bc, algorithm="sample-peeled-ysplit", k=cfg.k,
                     seed=cfg.seed, elapsed=perf_counter() - start,
                     peeled=one.decomp)

@@ -21,7 +21,6 @@ from peelbc import (
     Graph,
     SampleConfig,
     accumulate_delta_zeta,
-    bc_one_round_full,
     bc_one_round_mem,
     bc_via_2core_recurrence,
     brandes_exact,
@@ -76,7 +75,6 @@ def test_criterion_1_oracle_equivalence(full_corpus):
     for g in full_corpus:
         truth = oracle_bc(g).bc
         for bc in (
-            bc_one_round_full(g)[0].bc,
             bc_one_round_mem(g).bc,
             bc_via_2core_recurrence(g).bc,
         ):
@@ -109,7 +107,6 @@ def test_criterion_2_recurrence_fidelity(full_corpus):
 def test_criterion_3_closed_form_families():
     algorithms = (
         ("brandes", lambda g: brandes_exact(g).bc),
-        ("peel1-full", lambda g: bc_one_round_full(g)[0].bc),
         ("peel1-mem", lambda g: bc_one_round_mem(g).bc),
         ("2core-recurrence", lambda g: bc_via_2core_recurrence(g).bc),
     )
@@ -125,7 +122,7 @@ def test_criterion_3_closed_form_families():
         assert fn(p4) == pytest.approx([0, 2 / 3, 2 / 3, 0], abs=1e-12), name
         assert fn(c4) == pytest.approx([1 / 6] * 4, abs=1e-12), name
     report(3, "closed-form families",
-           "stars q=2..50, P4 inner 2/3, C4 1/6 across all four exact paths")
+           "stars q=2..50, P4 inner 2/3, C4 1/6 across all three exact paths")
 
 
 def test_criterion_4_zeta_correctness(full_corpus):

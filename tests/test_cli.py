@@ -425,10 +425,3 @@ class TestBench:
             ("50", "baseline"), ("50", "peeled"),
             ("100", "baseline"), ("100", "peeled"),
         }
-
-    def test_speedup_emits_ratio(self, star_file, tmp_path):
-        assert main(["bench", "--suite", "speedup", star_file,
-                     "--threads", "1", "--out", str(tmp_path)]) == 0
-        rows = list(csv.DictReader((tmp_path / "speedup.csv").open()))
-        assert len(rows) == 1
-        assert float(rows[0]["speedup"]) > 0

@@ -1,3 +1,4 @@
+import gc
 import io
 import random
 from pathlib import Path
@@ -32,10 +33,11 @@ def edge_label_set(g: Graph) -> set[frozenset]:
 
 class TestLoadEdgeList:
     def test_minimal_path(self):
-        g = load_edge_list(b"a b\nb c\n")
-        assert (g.n, g.m) == (3, 2)
-        assert g.labels == ["a", "b", "c"]
-        assert g.adj == [[1], [0, 2], [1]]
+        for data in (b"a b\nb c\n", b"a b\rb c\r"):
+            g = load_edge_list(data)
+            assert (g.n, g.m) == (3, 2)
+            assert g.labels == ["a", "b", "c"]
+            assert g.adj == [[1], [0, 2], [1]]
 
     def test_self_loop_and_duplicate_dropped(self):
         g = load_edge_list(b"a a\na b\na b\n")
@@ -121,9 +123,8 @@ class TestLoadMatrixMarket:
 
 
 # Reference loaders: the line-by-line parsers the package used before it
-# read each input whole.  Each source kind keeps its own line ends: a path
-# or binary file object is read in text mode ('\n', '\r', '\r\n'), bytes
-# and a StringIO end lines at '\n' only.
+# read each input whole.  A path, bytes or binary file object is read in
+# text mode ('\n', '\r', '\r\n'); a StringIO ends lines at '\n' only.
 
 
 def ref_text_lines(source):
@@ -132,8 +133,7 @@ def ref_text_lines(source):
             yield from io.TextIOWrapper(handle, encoding="utf-8")
         return
     if isinstance(source, (bytes, bytearray)):
-        yield from io.StringIO(source.decode("utf-8"))
-        return
+        source = io.BytesIO(source)
     first = source.read(0)
     if isinstance(first, bytes):
         yield from io.TextIOWrapper(source, encoding="utf-8")
@@ -298,6 +298,22 @@ def test_matrix_market_matches_reference_loader(seed, tmp_path):
         for kind, make in sources(data, path):
             assert outcome(load_matrix_market, make) == outcome(
                 ref_load_matrix_market, make), (kind, data)
+
+
+@pytest.mark.parametrize("load, data", [
+    (load_edge_list, b"a b\nb c\n"),
+    (load_matrix_market, MM_HEADER + b"3 3 2\n1 2\n2 3\n"),
+    (load_edge_list, b"a \xff\n"),
+    (load_matrix_market, MM_HEADER + b"\xff\n"),
+], ids=["edges", "mtx", "edges-bad-utf8", "mtx-bad-utf8"])
+def test_loaders_leave_binary_stream_open(load, data):
+    stream = io.BytesIO(data)
+    try:
+        load(stream)
+    except UnicodeDecodeError:
+        pass
+    gc.collect()
+    assert not stream.closed
 
 
 class TestReadGraph:

@@ -18,7 +18,7 @@ import sys
 
 import peelbc
 import peelbc.cli
-from peelbc import bc_one_round_full, brandes_exact, fixture_path, read_graph
+from peelbc import fixture_path
 
 out_dir = sys.argv[1]
 dolphins = str(fixture_path("soc-dolphins"))
@@ -43,10 +43,6 @@ report["max_diff"] = {
     name: max(abs(a - b) for a, b in zip(brandes, scores(name, "exact", "--algorithm", name)))
     for name in ("oracle", "2core-recurrence")
 }
-g = read_graph(dolphins)
-full = bc_one_round_full(g)[0].bc
-report["max_diff"]["bc_one_round_full"] = max(
-    abs(a - b) for a, b in zip(brandes_exact(g).bc, full))
 report["after_oracles"] = "numpy" in sys.modules
 print(json.dumps(report))
 """

@@ -22,7 +22,6 @@ from peelbc import (
     SampleConfig,
     accumulate,
     accumulate_delta_zeta,
-    bc_one_round_full,
     bc_one_round_mem,
     brandes_exact,
     load_fixture,
@@ -209,18 +208,6 @@ def test_sample_baseline_matches_reference(graphs):
     for seed, g in enumerate(graphs):
         cfg = SampleConfig(k=1 + seed % g.n, seed=seed)
         assert sample_bc_baseline(g, cfg).bc == ref_baseline(g, cfg)
-
-
-def test_full_tables_match_reference(graphs, monkeypatch):
-    import peelbc.peeling
-
-    results = [bc_one_round_full(g) for g in graphs[:60]]
-    monkeypatch.setattr(peelbc.peeling, "accumulate_delta_zeta", ref_delta_zeta)
-    for g, (result, table) in zip(graphs, results):
-        ref_result, ref_table = bc_one_round_full(g)
-        assert result.bc == ref_result.bc
-        assert (table.delta == ref_table.delta).all()
-        assert (table.zeta == ref_table.zeta).all()
 
 
 def test_one_round_mem_within_ulps(graphs):

@@ -3,9 +3,7 @@ import pytest
 
 from peelbc import (
     Graph,
-    TableSizeError,
     accumulate_delta_zeta,
-    bc_one_round_full,
     bc_one_round_mem,
     bc_via_2core_recurrence,
     brandes_exact,
@@ -72,7 +70,8 @@ def test_one_round_matches_degree_definitions():
     for g in corpus(200) + [TWO_NODE_AND_ISOLATED, star(4), Graph.from_edges(0, [])]:
         one = _one_round(g)
         deg = [len(g.adj[v]) for v in range(g.n)]
-        assert one.v1 == [v for v in range(g.n) if deg[v] == 1]
+        round0 = one.decomp.rounds[0] if one.decomp.rounds else []
+        assert round0 == [v for v in range(g.n) if deg[v] == 1]
         assert one.v2 == [v for v in range(g.n) if deg[v] != 1]
         assert one.deg1 == [sum(1 for w in g.adj[v] if deg[w] == 1) for v in range(g.n)]
 
@@ -107,53 +106,6 @@ class TestAccumulateDeltaZeta:
             for s in range(one.sub.n):
                 _, zeta = accumulate_delta_zeta(one.sub, s, deg1_sub)
                 assert max_dev(zeta, expected[s]) < 1e-9
-
-
-class TestOneRoundFull:
-    def test_pendant_path(self):
-        result, _ = bc_one_round_full(PENDANT_PATH)
-        assert result.bc == pytest.approx([0, 0.5, 2 / 3, 0.5, 0], abs=1e-12)
-        assert max_dev(result.bc, brandes_exact(PENDANT_PATH).bc) < 1e-12
-
-    def test_star_closed_form(self):
-        result, table = bc_one_round_full(star(4))
-        assert result.bc[0] == pytest.approx((10 - 3 - 4) * 4 / 12, abs=1e-15)
-        assert result.bc[0] == 1.0
-        assert table.node_ids == [0]
-
-    def test_no_pendants_is_noop(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        result, _ = bc_one_round_full(g)
-        assert max_dev(result.bc, brandes_exact(g).bc) < 1e-12
-
-    def test_removed_columns_not_stored(self, small_corpus):
-        for g in small_corpus[:6]:
-            result, table = bc_one_round_full(g)
-            v1 = {v for v in range(g.n) if g.degree(v) == 1}
-            assert not (v1 & set(table.node_ids))
-            for v in v1:
-                assert result.bc[v] == 0.0
-            assert (table.delta >= -1e-12).all()
-            assert (table.zeta >= -1e-12).all()
-            assert table.zeta.max(initial=0.0) <= len(v1) + 1e-9
-            # a source depends on a node at most once per possible target
-            assert table.delta.max(initial=0.0) <= g.n - 2 + 1e-9
-
-    def test_memory_cap(self):
-        with pytest.raises(TableSizeError, match="bc_one_round_mem"):
-            bc_one_round_full(corpus_graph(0), max_table_bytes=16)
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            bc_one_round_full(PENDANT_PATH, k=0)
-
-    def test_sampled_matches_mem_variant(self):
-        g = corpus_graph(11)
-        nt = sum(1 for v in range(g.n) if g.degree(v) != 1)
-        k = max(2, nt // 2)
-        full, _ = bc_one_round_full(g, k=k, seed=3)
-        mem = bc_one_round_mem(g, k=k, seed=3)
-        assert max_dev(full.bc, mem.bc) < 1e-9
 
 
 class TestOneRoundMem:
@@ -201,14 +153,12 @@ class TestOneRoundMem:
         )  # K2 {0,1}, triangle {2,3,4} with pendant 5, isolated 6
         truth = oracle_bc(g).bc
         assert max_dev(bc_one_round_mem(g).bc, truth) < 1e-12
-        assert max_dev(bc_one_round_full(g)[0].bc, truth) < 1e-12
         assert max_dev(bc_via_2core_recurrence(g).bc, truth) < 1e-12
 
     def test_graph_of_only_k2_components(self):
         g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
         for result in (
             bc_one_round_mem(g),
-            bc_one_round_full(g)[0],
             bc_via_2core_recurrence(g),
         ):
             assert result.bc == [0.0] * 6
@@ -261,8 +211,8 @@ class TestExactnessOnCorpus:
     def test_all_three_match_oracle(self, small_corpus):
         for g in small_corpus:
             truth = oracle_bc(g).bc
+            assert max_dev(brandes_exact(g).bc, truth) < 1e-9
             assert max_dev(bc_one_round_mem(g).bc, truth) < 1e-9
-            assert max_dev(bc_one_round_full(g)[0].bc, truth) < 1e-9
             assert max_dev(bc_via_2core_recurrence(g).bc, truth) < 1e-9
 
 

@@ -34,11 +34,7 @@ class TestSampleConfig:
             SampleConfig(k=0)
         with pytest.raises(ValueError):
             SampleConfig(k=1, seed=-1)
-        with pytest.raises(ValueError):
-            SampleConfig(k=1, epsilon=1.0)
-        with pytest.raises(ValueError):
-            SampleConfig(k=1, delta_conf=0.0)
-        cfg = SampleConfig(k=3, seed=2**63, epsilon=0.5, delta_conf=0.1)
+        cfg = SampleConfig(k=3, seed=2**63)
         assert cfg.k == 3
 
 
