@@ -1,7 +1,7 @@
 """Betweenness centrality with degree-1 peeling.
 
-Exact scoring (Brandes-style accumulation, memory-efficient one-round
-peeling, and a 2-core recurrence), pivot-sampling estimators with
+Exact scoring (Brandes-style accumulation, and one-round or 2-core
+peeling on the same kernel), pivot-sampling estimators with
 sample-size recommenders, core-periphery generators, and brute-force
 oracles for testing.
 """
@@ -34,7 +34,6 @@ from .peeling import (
     accumulate_delta_zeta,
     bc_one_round_mem,
     bc_via_2core_recurrence,
-    two_core_sigma_rounds,
 )
 from .sampling import (
     ErrorReport,
@@ -90,6 +89,5 @@ __all__ = [
     "sample_bc_peeled",
     "source_dependency",
     "sssp_bfs",
-    "two_core_sigma_rounds",
     "write_edge_list",
 ]

@@ -228,15 +228,14 @@ def _run_exact_algorithm(name: str, g: Graph, threads: int, force: bool) -> BcRe
         return brandes_exact(g, threads=threads)
     if name == "peel1":
         return bc_one_round_mem(g, threads=threads)
-    capped = name in ("2core-recurrence", "oracle")
-    if capped and g.n > ORACLE_SIZE_WARNING and not force:
-        raise ValueError(
-            f"{name} refused on n={g.n} > {ORACLE_SIZE_WARNING} nodes; "
-            "pass --force to run anyway"
-        )
     if name == "2core-recurrence":
-        return bc_via_2core_recurrence(g)
+        return bc_via_2core_recurrence(g, threads=threads)
     if name == "oracle":
+        if g.n > ORACLE_SIZE_WARNING and not force:
+            raise ValueError(
+                f"{name} refused on n={g.n} > {ORACLE_SIZE_WARNING} nodes; "
+                "pass --force to run anyway"
+            )
         return oracle_bc(g)
     raise ValueError(f"unknown algorithm {name!r}")
 
@@ -450,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-node absolute difference")
     p.add_argument("--threads", type=int, default=default_threads)
     p.add_argument("--force", action="store_true",
-                   help="run oracle or 2core-recurrence past their size cap")
+                   help="run oracle past its size cap")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("sample", help="pivot-sampled estimates")

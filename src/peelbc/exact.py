@@ -27,7 +27,7 @@ if TYPE_CHECKING:
 UNREACHABLE = -1
 
 # Above this node count the quadratic/cubic oracles get slow: oracle_bc
-# warns, and the CLI refuses oracle and 2core-recurrence without --force.
+# warns, and the CLI refuses oracle without --force.
 ORACLE_SIZE_WARNING = 500
 
 

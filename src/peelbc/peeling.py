@@ -1,13 +1,13 @@
 """Betweenness centrality through degree-1 peeling.
 
-Two families live here.  The one-round algorithm removes the degree-1
-nodes once, runs dependency accumulation only on the peeled graph, and
-reconstructs the full-graph scores exactly from closed-form pendant
-terms plus an auxiliary pendant-weighted dependency (zeta).  The 2-core
-recurrence is the oracle-grade multi-round variant: it peels to the
-2-core, solves it with the brute-force matrices, and rolls scores back
-round by round.  Only the recurrence uses numpy, and it imports it when
-called, so the one-round algorithm never loads it.
+Peeling removes degree-1 nodes round by round; every removed node hangs
+in a tree below a node that stays.  One body scores both peeled paths:
+it runs the dependency-accumulation kernel on the kept nodes only, each
+weighted by 1 + the number of nodes hanging below it, and adds the
+pairs those trees route through each node in closed form.  The
+one-round algorithm (`bc_one_round_mem`) keeps every node of degree
+!= 1; the 2-core recurrence (`bc_via_2core_recurrence`) peels until no
+degree-1 node is left, so the kernel runs on the 2-core alone.
 
 All closed-form terms use the size of a node's connected component where
 a connected graph's formulas would use n, so disconnected inputs (where
@@ -19,21 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING
 
-from .exact import (
-    BcResult,
-    _dependency_totals,
-    _normalizer,
-    accumulate,
-    accumulate_chunked,
-    oracle_sigma,
-    pair_counts_through,
-)
+from .exact import BcResult, _normalizer, accumulate, accumulate_chunked
 from .graph import Graph, PeelDecomposition, peel
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def accumulate_delta_zeta(
@@ -53,47 +41,114 @@ def accumulate_delta_zeta(
 
 
 @dataclass
-class _OneRound:
-    """Shared setup for the one-round algorithms.  comp_size[i] is the
-    size, in g, of the component holding survivor v2[i]; decomp is the
-    full peel, handed on in BcResult.peeled so the record need not peel."""
+class _Peeled:
+    """Shared set-up of the peeled paths.
 
-    v2: list[int]
-    deg1: list[int]
+    kept lists, ascending, the nodes the kernel runs on: sub is the
+    subgraph they induce, and weight[i] = 1.0 + T[kept[i]] is the
+    kernel's target and source weight (a float, which the kernel's inner
+    loop adds faster than an int).  Every other node hangs in a tree
+    below a kept node.  T[v] counts the nodes below v, Q[v] sums the
+    squares of v's child-subtree sizes, and comp_size[v] is the size, in
+    g, of v's component (set where the closed form needs it).  inner
+    lists the removed nodes with T > 0.  decomp is the full peel, handed
+    on in BcResult.peeled so the record need not peel.
+    """
+
+    kept: list[int]
+    T: list[int]
+    Q: list[int]
     sub: Graph
+    weight: list[float]
     comp_size: list[int]
+    inner: list[int]
     decomp: PeelDecomposition
 
 
-def _survivors(g: Graph) -> list[int]:
-    """The nodes one peeling round keeps: every node of degree != 1."""
-    return [v for v, nbrs in enumerate(g.adj) if len(nbrs) != 1]
+def _set_up(g: Graph, decomp: PeelDecomposition, keep, T: list[int],
+            Q: list[int], inner: list[int]) -> _Peeled:
+    """Build the kept subgraph and size each component as the sum of
+    1 + T over its kept nodes (the kept nodes of a component of g stay
+    connected, and the rest hang below them); a removed node's component
+    is its parent's, so sizes pass down inner from the innermost round
+    outward."""
+    sub, kept = g.subgraph(keep)
+    comp_id, sizes = sub.component_ids(weight=[1 + T[v] for v in kept])
+    comp_size = [0] * g.n
+    for v, c in zip(kept, comp_id):
+        comp_size[v] = sizes[c]
+    parent = decomp.pendant_anchor
+    for v in reversed(inner):
+        comp_size[v] = comp_size[parent[v]]
+    weight = [1.0 + T[v] for v in kept]
+    return _Peeled(kept=kept, T=T, Q=Q, sub=sub, weight=weight,
+                   comp_size=comp_size, inner=inner, decomp=decomp)
 
 
-def _one_round(g: Graph) -> _OneRound:
-    """Peel g, build the survivor subgraph and size each survivor's
-    component.  One round removes only leaves, so the survivors of a
-    component of g stay connected in the subgraph, and the component
-    holds them plus their degree-1 neighbours: its size is the sum of
-    1 + deg1 over its survivors.  (A two-node component has no
-    survivor and needs no size.)"""
+def _one_round(g: Graph) -> _Peeled:
+    """One peeling round: keep every node of degree != 1.  A kept node
+    holds only its degree-1 neighbours, so T = Q = deg1.  A two-node
+    component has no kept node; both of its nodes score 0."""
     decomp = peel(g)
-    deg1 = decomp.deg1
-    v2 = _survivors(g)
-    sub, _ = g.subgraph(v2)
-    comp_id, sizes = sub.component_ids(weight=[1 + deg1[v] for v in v2])
-    return _OneRound(v2=v2, deg1=deg1, sub=sub,
-                     comp_size=[sizes[c] for c in comp_id], decomp=decomp)
+    keep = [v for v, nbrs in enumerate(g.adj) if len(nbrs) != 1]
+    return _set_up(g, decomp, keep, decomp.deg1, decomp.deg1, [])
 
 
-def _add_pendant_terms(bc: list[float], one: _OneRound, acc: list[float]) -> None:
-    """Write each survivor's score into bc: its accumulated sum acc[i]
-    plus the closed-form pendant term, normalized."""
+def _full_peel(g: Graph) -> _Peeled:
+    """Every peeling round: keep the core nodes.  A removed node's parent
+    is its pendant anchor, except that a final two-node pair roots at its
+    smaller id, which is kept.  The rounds run outward in, so a node's
+    subtree is complete before it joins its parent's."""
+    decomp = peel(g)
+    n = g.n
+    parent = decomp.pendant_anchor
+    T = [0] * n
+    Q = [0] * n
+    roots = []
+    inner = []
+    for removed in decomp.rounds:
+        for v in removed:
+            p = parent[v]
+            if v < p and parent.get(p) == v:
+                roots.append(v)
+                continue
+            if T[v]:
+                inner.append(v)
+            size = 1 + T[v]
+            T[p] += size
+            Q[p] += size * size
+    return _set_up(g, decomp, decomp.core_nodes + roots, T, Q, inner)
+
+
+def _add_pendant_terms(bc: list[float], one: _Peeled, acc: list[float]) -> None:
+    """Write each scored node's betweenness into bc: for a kept node its
+    accumulated sum acc[i], plus for every node with T > 0 the ordered
+    pairs between different pieces around it (its child subtrees and the
+    rest of its component), T(2C - 2 - T) - Q, normalized."""
     norm = _normalizer(len(bc))
-    for idx, u in enumerate(one.v2):
-        d1 = one.deg1[u]
-        cu = one.comp_size[idx]
-        bc[u] = (acc[idx] + d1 * (2 * cu - 3 - d1)) / norm
+    T, Q, comp_size = one.T, one.Q, one.comp_size
+    for idx, u in enumerate(one.kept):
+        t = T[u]
+        bc[u] = (acc[idx] + (t * (2 * comp_size[u] - 2 - t) - Q[u])) / norm
+    for v in one.inner:
+        t = T[v]
+        bc[v] = (t * (2 * comp_size[v] - 2 - t) - Q[v]) / norm
+
+
+def _peeled_scores(g: Graph, one: _Peeled, sources, scale: float | None,
+                   threads: int) -> list[float]:
+    """Scores from the set-up: the kernel on the kept subgraph with
+    target = weight = 1 + T (psi = delta + zeta in one pass per source),
+    the sum rescaled by `scale` when sources are sampled, then the
+    closed-form terms.  Removed nodes with nothing below them score 0."""
+    bc = [0.0] * g.n
+    if g.n > 2:
+        acc = accumulate_chunked(one.sub, sources, target=one.weight,
+                                 weight=one.weight, threads=threads)
+        if scale is not None:
+            acc = [x * scale for x in acc]
+        _add_pendant_terms(bc, one, acc)
+    return bc
 
 
 def _pick_sources(nt: int, k: int | None, seed: int | None):
@@ -122,28 +177,17 @@ def bc_one_round_mem(
     Exact when k is None or k >= the survivor count; otherwise an
     estimate from k pivots rescaled by survivors/k.  Each survivor's
     score combines the weighted accumulation over the peeled graph (one
-    kernel pass per source for psi = delta + zeta: target 1 + deg1,
-    source weight 1 + deg1) with a closed-form pendant term that carries
-    no sampling error; removed degree-1 nodes score 0.  On a graph with
+    kernel pass per source for psi = delta + zeta: target and source
+    weight 1 + deg1) with a closed-form pendant term that carries no
+    sampling error; removed degree-1 nodes score 0.  On a graph with
     no degree-1 nodes this reduces bit-for-bit to the plain exact
     algorithm.
     """
     start = perf_counter()
-    n = g.n
     one = _one_round(g)
-    nt = len(one.v2)
+    nt = len(one.kept)
     sources, sampled = _pick_sources(nt, k, seed)
-    bc = [0.0] * n
-    if n > 2:
-        deg1_sub = [one.deg1[orig] for orig in one.v2]
-        acc = accumulate_chunked(
-            one.sub, sources, target=[1.0 + d for d in deg1_sub],
-            weight=[1 + d for d in deg1_sub], threads=threads,
-        )
-        if sampled:
-            scale = nt / k
-            acc = [x * scale for x in acc]
-        _add_pendant_terms(bc, one, acc)
+    bc = _peeled_scores(g, one, sources, nt / k if sampled else None, threads)
     return BcResult(
         bc=bc,
         algorithm="peel1-mem",
@@ -154,158 +198,18 @@ def bc_one_round_mem(
     )
 
 
-def _extend_sigma(
-    dist: np.ndarray,
-    sigma: np.ndarray,
-    removed: list[int],
-    anchor_idx: list[int],
-    k2_partner: dict[int, int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grow all-pairs distance/count matrices by one un-peeling round.
+def bc_via_2core_recurrence(g: Graph, threads: int = 1) -> BcResult:
+    """Exact betweenness by peeling to the 2-core.
 
-    The existing matrices describe the smaller graph; removed nodes are
-    appended in order.  A removed node with surviving anchor a sits one
-    hop past a with a's path counts; two removed nodes combine their
-    anchors' entries plus two hops; mutual degree-1 pairs (two-node
-    components) are distance 1 from each other and unreachable from
-    everything else.  All arithmetic stays in integers.
+    Peels degree-1 nodes until none is left, runs the kernel on the
+    2-core only (each core node weighted by 1 + the size of the trees
+    hanging off it), and scores every tree node in closed form from its
+    subtree sizes.  Memory and time are those of the kernel on the
+    2-core; `threads` splits its sources as in `brandes_exact`.
     """
-    import numpy as np
-    p = dist.shape[0]
-    q = len(removed)
-    full = p + q
-    d2 = np.full((full, full), -1, dtype=np.int64)
-    s2 = np.zeros((full, full), dtype=np.int64)
-    d2[:p, :p] = dist
-    s2[:p, :p] = sigma
-
-    a_idx = np.array(anchor_idx, dtype=np.int64)
-    valid = np.nonzero(a_idx >= 0)[0]
-    if valid.size and p:
-        va = a_idx[valid]
-        cols = valid + p
-        dc = dist[:, va]
-        reach = dc >= 0
-        d2[:p, cols] = np.where(reach, dc + 1, -1)
-        s2[:p, cols] = np.where(reach, sigma[:, va], 0)
-        d2[cols, :p] = d2[:p, cols].T
-        s2[cols, :p] = s2[:p, cols].T
-        dblock = dist[np.ix_(va, va)]
-        rblock = dblock >= 0
-        d2[np.ix_(cols, cols)] = np.where(rblock, dblock + 2, -1)
-        s2[np.ix_(cols, cols)] = np.where(rblock, sigma[np.ix_(va, va)], 0)
-    for j, v in enumerate(removed):
-        partner = k2_partner.get(v)
-        if partner is not None:
-            jj = removed.index(partner)
-            d2[p + j, p + jj] = d2[p + jj, p + j] = 1
-            s2[p + j, p + jj] = s2[p + jj, p + j] = 1
-    for x in range(p, full):
-        d2[x, x] = 0
-        s2[x, x] = 1
-    return d2, s2
-
-
-def _round_structures(g: Graph, decomp: PeelDecomposition):
-    """Per-round anchor indexing shared by the recurrence and its tests.
-
-    Yields, from the innermost round outward, the node order before the
-    round is undone, the removed nodes, their anchor positions in that
-    order (-1 for two-node components), and the mutual-pair map.
-    """
-    order = list(decomp.core_nodes)
-    states = []
-    for removed in reversed(decomp.rounds):
-        pos = {orig: i for i, orig in enumerate(order)}
-        anchor_idx = []
-        k2_partner = {}
-        for v in removed:
-            a = decomp.pendant_anchor[v]
-            idx = pos.get(a, -1)
-            anchor_idx.append(idx)
-            if idx < 0:
-                k2_partner[v] = a
-        states.append((list(order), list(removed), anchor_idx, k2_partner))
-        order = order + list(removed)
-    return states, order
-
-
-def two_core_sigma_rounds(g: Graph):
-    """All-pairs distance/count matrices for every graph in the peel chain.
-
-    Returns a list of (node_order, dist, sigma) from the fully peeled
-    graph back out to the input graph; the matrices are produced by the
-    same un-peeling extension the recurrence uses, so tests can compare
-    them entrywise against direct recomputation.
-    """
-    decomp = peel(g)
-    core_sub, core_nodes = g.subgraph(decomp.core_nodes)
-    dist, sigma = oracle_sigma(core_sub)
-    out = [(list(core_nodes), dist, sigma)]
-    states, _ = _round_structures(g, decomp)
-    for order, removed, anchor_idx, k2_partner in states:
-        dist, sigma = _extend_sigma(dist, sigma, removed, anchor_idx, k2_partner)
-        out.append((order + removed, dist, sigma))
-    return out
-
-
-def bc_via_2core_recurrence(g: Graph) -> BcResult:
-    """Exact betweenness by solving the 2-core and un-peeling round by round.
-
-    Oracle-grade: keeps all-pairs distance/count matrices per round, so
-    memory is quadratic in the node count.  Each un-peeling round adds,
-    per surviving node u, the closed-form pendant-pair and
-    pendant-to-anywhere terms (component-aware) plus two double sums
-    over anchor pairs weighted by the fraction of their shortest paths
-    through u, evaluated on the smaller graph's matrices via the
-    counting identity.  Removed degree-1 nodes score 0.
-    """
-    import numpy as np
     start = perf_counter()
-    n = g.n
-    decomp = peel(g)
-    core_sub, _ = g.subgraph(decomp.core_nodes)
-    dist, sigma = oracle_sigma(core_sub)
-    totals = _dependency_totals(dist, sigma)
-
-    states, final_order = _round_structures(g, decomp)
-    for order, removed, anchor_idx, k2_partner in states:
-        p = len(order)
-        deg1_round = np.zeros(p)
-        for idx in anchor_idx:
-            if idx >= 0:
-                deg1_round[idx] += 1
-        d2, s2 = _extend_sigma(dist, sigma, removed, anchor_idx, k2_partner)
-        comp_size = (d2 >= 0).sum(axis=1)
-        new_totals = np.zeros(p + len(removed))
-        if p:
-            sigma_f = sigma.astype(np.float64)
-            safe = np.where(sigma > 0, sigma_f, 1.0)
-            any_pendants = deg1_round.any()
-            for u in range(p):
-                extra = 0.0
-                d1 = deg1_round[u]
-                if d1:
-                    cu = comp_size[u]
-                    extra += d1 * (d1 - 1) + 2.0 * d1 * (cu - d1 - 1)
-                if any_pendants:
-                    ratios = (
-                        pair_counts_through(dist, sigma, u).astype(np.float64)
-                        / safe
-                    )
-                    ratios[u, :] = 0.0
-                    ratios[:, u] = 0.0
-                    np.fill_diagonal(ratios, 0.0)
-                    extra += 2.0 * float(ratios.sum(axis=0) @ deg1_round)
-                    extra += float(deg1_round @ ratios @ deg1_round)
-                new_totals[u] = totals[u] + extra
-        totals = new_totals
-        dist, sigma = d2, s2
-
-    bc = [0.0] * n
-    if n > 2:
-        norm = _normalizer(n)
-        for idx, orig in enumerate(final_order):
-            bc[orig] = float(totals[idx]) / norm
+    one = _full_peel(g)
+    sources = list(range(len(one.kept)))
+    bc = _peeled_scores(g, one, sources, None, threads)
     return BcResult(bc=bc, algorithm="2core-recurrence",
-                    elapsed=perf_counter() - start, peeled=decomp)
+                    elapsed=perf_counter() - start, peeled=one.decomp)

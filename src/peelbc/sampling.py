@@ -17,7 +17,7 @@ from time import perf_counter
 from .exact import BcResult, _normalizer, accumulate_chunked
 from .exact import sssp_bfs  # noqa: F401  (bound here for the benchmark's tracer)
 from .graph import Graph
-from .peeling import _add_pendant_terms, _one_round, _survivors, bc_one_round_mem
+from .peeling import _add_pendant_terms, _one_round, _peeled_scores, bc_one_round_mem
 
 
 @dataclass(frozen=True)
@@ -92,27 +92,26 @@ def sample_bc_peeled(
 
     start = perf_counter()
     n = g.n
-    nt = len(_survivors(g))
-    if cfg.k >= nt:
-        result = bc_one_round_mem(g, k=None)
-        result.algorithm = "sample-peeled-ysplit"
-        return result
     one = _one_round(g)
-    bc = [0.0] * n
-    if n > 2:
-        deg1_sub = [one.deg1[orig] for orig in one.v2]
-        target = [1.0 + d for d in deg1_sub]
-        y_sources = [i for i, d in enumerate(deg1_sub) if d > 0]
-        exact_acc = accumulate_chunked(one.sub, y_sources, target, deg1_sub)
-        rng = random.Random(cfg.seed)
-        pivots = rng.sample(range(nt), cfg.k)
-        sampled_acc = accumulate_chunked(one.sub, pivots, target)
-        scale = (nt - 1) / cfg.k
-        total = [e + scale * s for e, s in zip(exact_acc, sampled_acc)]
-        _add_pendant_terms(bc, one, total)
-    return BcResult(bc=bc, algorithm="sample-peeled-ysplit", k=cfg.k,
-                    seed=cfg.seed, elapsed=perf_counter() - start,
-                    peeled=one.decomp)
+    nt = len(one.kept)
+    if cfg.k >= nt:
+        bc = _peeled_scores(g, one, list(range(nt)), None, threads=1)
+        k = seed = None
+    else:
+        bc = [0.0] * n
+        if n > 2:
+            deg1_sub = [one.T[v] for v in one.kept]
+            y_sources = [i for i, d in enumerate(deg1_sub) if d > 0]
+            exact_acc = accumulate_chunked(one.sub, y_sources, one.weight, deg1_sub)
+            rng = random.Random(cfg.seed)
+            pivots = rng.sample(range(nt), cfg.k)
+            sampled_acc = accumulate_chunked(one.sub, pivots, one.weight)
+            scale = (nt - 1) / cfg.k
+            total = [e + scale * s for e, s in zip(exact_acc, sampled_acc)]
+            _add_pendant_terms(bc, one, total)
+        k, seed = cfg.k, cfg.seed
+    return BcResult(bc=bc, algorithm="sample-peeled-ysplit", k=k, seed=seed,
+                    elapsed=perf_counter() - start, peeled=one.decomp)
 
 
 def recommended_pivots(n_tilde, epsilon: float) -> int:

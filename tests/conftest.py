@@ -38,6 +38,48 @@ def corpus(count: int) -> list[Graph]:
     return [corpus_graph(seed) for seed in range(count)]
 
 
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def pair_rooted_trees() -> list[Graph]:
+    """Trees whose last peeling round is a two-node pair with subtrees
+    below both nodes: node a holds 7 of the nodes and node b 3.  a gets
+    the smaller id in one copy and the larger in the other, so the pair
+    roots once on each side."""
+    edges = [("a", "b"), ("a", "x"), ("x", 1), ("x", 2), ("x", 3),
+             ("a", "y"), ("y", 4), ("b", "z"), ("z", 5)]
+    graphs = []
+    for order in (["a", "b"], ["b", "a"]):
+        ids = {lab: i for i, lab in enumerate(order + ["x", "y", "z", 1, 2, 3, 4, 5])}
+        graphs.append(Graph.from_edges(len(ids), [(ids[u], ids[v]) for u, v in edges]))
+    return graphs
+
+
+def trees_off_cycles(count: int) -> list[Graph]:
+    """Seeded cycles with deep trees hanging off them: each added node
+    hangs below one of the three nodes added before it, and node ids are
+    shuffled so that parents are not always the smaller id."""
+    graphs = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        c = rng.randint(3, 8)
+        n = c + rng.randint(10, 40)
+        edges = [(i, (i + 1) % c) for i in range(c)]
+        edges += [(rng.randrange(max(0, v - 3), v), v) for v in range(c, n)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs.append(Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges]))
+    return graphs
+
+
+def peeling_cases() -> list[Graph]:
+    """Graphs that exercise every peeling round: paths, pair-rooted
+    trees and deep trees off cycles."""
+    return ([path_graph(n) for n in range(1, 10)] + pair_rooted_trees()
+            + trees_off_cycles(8))
+
+
 @pytest.fixture(scope="session")
 def small_corpus() -> list[Graph]:
     """A 30-graph slice for unit tests; acceptance runs the full 200."""

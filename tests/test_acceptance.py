@@ -31,14 +31,14 @@ from peelbc import (
     peel_diagnostics,
     sample_bc_baseline,
     sample_bc_peeled,
-    two_core_sigma_rounds,
 )
 from peelbc.cli import main
 from peelbc.datasets import fixture_names, fixture_path
 from peelbc.exact import pair_counts_through
 from peelbc.peeling import _one_round
 
-from conftest import corpus, er_with_exact_pendants
+from conftest import corpus, er_with_exact_pendants, peeling_cases
+from dense_recurrence import dense_2core_recurrence, two_core_sigma_rounds
 
 CORPUS_SIZE = 200
 
@@ -81,13 +81,18 @@ def test_criterion_1_oracle_equivalence(full_corpus):
             dev = max_dev(bc, truth)
             worst = max(worst, dev)
             assert dev < 1e-9
+    cases = peeling_cases()
+    for g in cases:
+        assert max_dev(bc_via_2core_recurrence(g).bc, oracle_bc(g).bc) < 1e-12
     elapsed = perf_counter() - start
     assert elapsed < 120.0, f"criterion 1 took {elapsed:.1f}s (budget 120s)"
     report(1, "oracle equivalence",
-           f"{CORPUS_SIZE} graphs, worst dev {worst:.2e}, {elapsed:.1f}s")
+           f"{CORPUS_SIZE} graphs, worst dev {worst:.2e}; {len(cases)} "
+           f"paths and trees within 1e-12; {elapsed:.1f}s")
 
 
 def test_criterion_2_recurrence_fidelity(full_corpus):
+    worst = 0.0
     for g in full_corpus:
         for order, dist, sigma in two_core_sigma_rounds(g):
             sub, kept = g.subgraph(order)
@@ -96,11 +101,15 @@ def test_criterion_2_recurrence_fidelity(full_corpus):
             d_direct, s_direct = oracle_sigma(sub)
             assert np.array_equal(dist[np.ix_(perm, perm)], d_direct)
             assert np.array_equal(sigma[np.ix_(perm, perm)], s_direct)
+        dev = max_dev(bc_via_2core_recurrence(g).bc, dense_2core_recurrence(g))
+        worst = max(worst, dev)
+        assert dev < 1e-12
     result = bc_via_2core_recurrence(ASYMMETRIC)
     c = ASYMMETRIC.labels.index("c")
     assert result.bc[c] == pytest.approx(0.6, abs=1e-12)
     report(2, "recurrence fidelity",
-           f"sigma rounds integer-exact on {CORPUS_SIZE} graphs; "
+           f"sigma rounds integer-exact on {CORPUS_SIZE} graphs; kernel path "
+           f"within {worst:.2e} of the dense recurrence; "
            f"pendant fixture bc(c)={result.bc[c]:.6f}")
 
 
@@ -132,7 +141,7 @@ def test_criterion_4_zeta_correctness(full_corpus):
         nt = one.sub.n
         if nt == 0:
             continue
-        deg1_sub = [one.deg1[v] for v in one.v2]
+        deg1_sub = [one.decomp.deg1[v] for v in one.kept]
         dist, sigma = oracle_sigma(one.sub)
         sigma_f = sigma.astype(float)
         safe = np.where(sigma > 0, sigma_f, 1.0)

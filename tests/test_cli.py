@@ -116,8 +116,20 @@ class TestExact:
         assert main(["exact", str(big), "--algorithm", "oracle"]) == 1
         assert "--force" in capsys.readouterr().err
 
+    def test_2core_recurrence_has_no_size_cap(self, tmp_path):
+        big = tmp_path / "big.edges"
+        big.write_text("".join(f"c n{i}\n" for i in range(600)))
+        scores = {}
+        for algorithm in ("2core-recurrence", "brandes"):
+            out = tmp_path / f"{algorithm}.json"
+            assert main(["exact", str(big), "--algorithm", algorithm, "--threads", "1",
+                         "--format", "json", "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            scores[algorithm] = [row["bc"] for row in payload["scores"]]
+        assert scores["2core-recurrence"] == pytest.approx(scores["brandes"], abs=1e-12)
+
     @pytest.mark.filterwarnings("ignore:oracle_bc on n=")
-    @pytest.mark.parametrize("algorithm", ["2core-recurrence", "oracle"])
+    @pytest.mark.parametrize("algorithm", ["oracle"])
     def test_grid_35_fails_with_one_line(self, algorithm, capsys, tmp_path):
         grid = grid_file(tmp_path, 35)  # corner-to-corner path count C(68, 34) > 2**63
         assert main(["exact", grid, "--algorithm", algorithm]) == 1

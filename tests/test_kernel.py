@@ -123,19 +123,19 @@ def _pendant_terms(g: Graph, one, acc: list[float]) -> list[float]:
     bc = [0.0] * g.n
     norm = _normalizer(g.n)
     comp, sizes = g.component_ids()
-    for idx, u in enumerate(one.v2):
-        d1 = one.deg1[u]
+    for idx, u in enumerate(one.kept):
+        d1 = one.decomp.deg1[u]
         bc[u] = (acc[idx] + d1 * (2 * sizes[comp[u]] - 3 - d1)) / norm
     return bc
 
 
 def ref_one_round(g: Graph, k: int | None = None, seed: int | None = None):
     one = _one_round(g)
-    nt = len(one.v2)
+    nt = len(one.kept)
     sources, sampled = _pick_sources(nt, k, seed)
     if g.n <= 2:
         return [0.0] * g.n
-    deg1_sub = [one.deg1[orig] for orig in one.v2]
+    deg1_sub = [one.decomp.deg1[orig] for orig in one.kept]
     acc = [0.0] * nt
     for s in sources:
         delta, zeta = ref_delta_zeta(one.sub, s, deg1_sub)
@@ -150,8 +150,8 @@ def ref_one_round(g: Graph, k: int | None = None, seed: int | None = None):
 
 def ref_ysplit(g: Graph, cfg: SampleConfig) -> list[float]:
     one = _one_round(g)
-    nt = len(one.v2)
-    deg1_sub = [one.deg1[orig] for orig in one.v2]
+    nt = len(one.kept)
+    deg1_sub = [one.decomp.deg1[orig] for orig in one.kept]
     exact_acc = [0.0] * nt
     for s in range(nt):
         if deg1_sub[s]:
@@ -198,7 +198,7 @@ def test_source_dependency_and_delta_zeta_match_reference(graphs):
         for s in range(g.n):
             assert source_dependency(g, s) == ref_delta_zeta(g, s, [0] * g.n)[0]
         one = _one_round(g)
-        deg1_sub = [one.deg1[orig] for orig in one.v2]
+        deg1_sub = [one.decomp.deg1[orig] for orig in one.kept]
         for s in range(one.sub.n):
             got = accumulate_delta_zeta(one.sub, s, deg1_sub)
             assert got == ref_delta_zeta(one.sub, s, deg1_sub)
@@ -220,7 +220,7 @@ def test_one_round_mem_within_ulps(graphs):
 
 def test_sample_peeled_within_ulps(graphs):
     for seed, g in enumerate(graphs):
-        nt = len(_one_round(g).v2)
+        nt = len(_one_round(g).kept)
         cfg = SampleConfig(k=1 + seed % max(1, nt - 1), seed=seed)
         assert_within_ulps(sample_bc_peeled(g, cfg).bc,
                            ref_one_round(g, k=cfg.k, seed=cfg.seed))

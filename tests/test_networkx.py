@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from peelbc import bc_one_round_mem, brandes_exact, load_fixture
+from peelbc import bc_one_round_mem, bc_via_2core_recurrence, brandes_exact, load_fixture
 
 from conftest import corpus
 
@@ -30,8 +30,9 @@ def references():
     return [(g, networkx_scores(g)) for g in graphs]
 
 
-@pytest.mark.parametrize("algorithm", [brandes_exact, bc_one_round_mem],
-                         ids=["brandes", "peel1"])
+@pytest.mark.parametrize("algorithm",
+                         [brandes_exact, bc_one_round_mem, bc_via_2core_recurrence],
+                         ids=["brandes", "peel1", "2core-recurrence"])
 def test_matches_networkx(algorithm, references):
     for g, want in references:
         got = algorithm(g, threads=1).bc

@@ -10,11 +10,18 @@ from peelbc import (
     oracle_bc,
     oracle_sigma,
     sssp_bfs,
-    two_core_sigma_rounds,
 )
 from peelbc.exact import FORK_MIN_WORK, pair_counts_through
+from peelbc.peeling import _full_peel, _one_round
 
-from conftest import corpus_graph, er_with_exact_pendants
+from conftest import (
+    corpus_graph,
+    er_with_exact_pendants,
+    pair_rooted_trees,
+    path_graph,
+    peeling_cases,
+)
+from dense_recurrence import two_core_sigma_rounds
 
 PENDANT_PATH = Graph.from_labeled_edges(
     [("a", "b"), ("b", "c"), ("c", "e"), ("e", "f")]
@@ -51,10 +58,8 @@ def brute_zeta(sub: Graph, deg1_sub: list[int]) -> np.ndarray:
 
 
 def one_round_parts(g: Graph):
-    from peelbc.peeling import _one_round
-
     one = _one_round(g)
-    deg1_sub = [one.deg1[v] for v in one.v2]
+    deg1_sub = [one.T[v] for v in one.kept]
     return one, deg1_sub
 
 
@@ -65,21 +70,21 @@ TWO_NODE_AND_ISOLATED = Graph.from_edges(
 
 def test_one_round_matches_degree_definitions():
     from conftest import corpus
-    from peelbc.peeling import _one_round
 
     for g in corpus(200) + [TWO_NODE_AND_ISOLATED, star(4), Graph.from_edges(0, [])]:
         one = _one_round(g)
         deg = [len(g.adj[v]) for v in range(g.n)]
         round0 = one.decomp.rounds[0] if one.decomp.rounds else []
         assert round0 == [v for v in range(g.n) if deg[v] == 1]
-        assert one.v2 == [v for v in range(g.n) if deg[v] != 1]
-        assert one.deg1 == [sum(1 for w in g.adj[v] if deg[w] == 1) for v in range(g.n)]
+        assert one.kept == [v for v in range(g.n) if deg[v] != 1]
+        assert one.T == one.Q == [sum(1 for w in g.adj[v] if deg[w] == 1)
+                                  for v in range(g.n)]
 
 
 class TestAccumulateDeltaZeta:
     def test_pendant_path_source_b(self):
         one, deg1_sub = one_round_parts(PENDANT_PATH)
-        assert one.v2 == [1, 2, 3]  # b, c, e
+        assert one.kept == [1, 2, 3]  # b, c, e
         assert deg1_sub == [1, 0, 1]
         delta, zeta = accumulate_delta_zeta(one.sub, 0, deg1_sub)  # source b
         assert delta == [0.0, 1.0, 0.0]
@@ -136,13 +141,18 @@ class TestOneRoundMem:
         assert a.bc == b.bc
         assert a.k == 3 and a.seed == 21
 
-    def test_threads_agree_with_serial(self, fork_calls):
+    @pytest.mark.parametrize(
+        "algorithm, set_up",
+        [(bc_one_round_mem, _one_round), (bc_via_2core_recurrence, _full_peel)],
+        ids=["peel1", "2core-recurrence"],
+    )
+    def test_threads_agree_with_serial(self, algorithm, set_up, fork_calls):
         g = er_with_exact_pendants(200, 260, 0.05, seed=13)
-        sub = one_round_parts(g)[0].sub
+        sub = set_up(g).sub
         assert sub.n * sub.m >= FORK_MIN_WORK
-        serial = bc_one_round_mem(g, threads=1).bc
+        serial = algorithm(g, threads=1).bc
         assert fork_calls == []
-        parallel = bc_one_round_mem(g, threads=2).bc
+        parallel = algorithm(g, threads=2).bc
         assert fork_calls == ["fork"]
         assert parallel == pytest.approx(serial, abs=1e-12)
 
@@ -190,6 +200,10 @@ class TestTwoCoreRecurrence:
             assert max_dev(
                 bc_via_2core_recurrence(forest).bc, brandes_exact(forest).bc
             ) < 1e-9
+        for tree in [path_graph(n) for n in range(1, 10)] + pair_rooted_trees():
+            assert max_dev(
+                bc_via_2core_recurrence(tree).bc, oracle_bc(tree).bc
+            ) < 1e-12
 
     def test_identity_on_own_two_core(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -214,6 +228,8 @@ class TestExactnessOnCorpus:
             assert max_dev(brandes_exact(g).bc, truth) < 1e-9
             assert max_dev(bc_one_round_mem(g).bc, truth) < 1e-9
             assert max_dev(bc_via_2core_recurrence(g).bc, truth) < 1e-9
+        for g in peeling_cases():
+            assert max_dev(bc_via_2core_recurrence(g).bc, oracle_bc(g).bc) < 1e-12
 
 
 @pytest.mark.slow
