@@ -503,6 +503,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:  # parse errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ called, so scoring through the kernel never loads it.
 from __future__ import annotations
 
 import multiprocessing
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,24 +31,35 @@ UNREACHABLE = -1
 # warns, and the CLI refuses oracle without --force.
 ORACLE_SIZE_WARNING = 500
 
+# Path counts are summed as floats, which hold every integer below 2**53
+# exactly; a source whose counts reach it is recounted in ints.
+FLOAT_EXACT = 2.0 ** 53
+
 
 @dataclass
 class SsspTree:
-    """One BFS shortest-path DAG.
+    """One BFS shortest-path DAG, level by level.
 
-    dist uses -1 for unreachable nodes; sigma counts shortest paths from
-    the source; order holds the reached nodes farthest-first, so
-    iterating it pops nodes in nonincreasing distance.  preds[w] lists
-    the neighbors of w one hop closer to the source; it is derived from
-    dist and adj on first access, since the accumulation kernel tests
-    distances instead of storing predecessor lists.
+    dist uses -1 for unreachable nodes.  levels[d] lists the nodes at
+    distance d in visit order, so levels[0] is [source].  sigma counts
+    shortest paths from the source: floats while every count stays below
+    2**53, where float sums of integers are exact, and Python ints for a
+    source whose counts reach it; unreached nodes count 0.  order (the
+    reached nodes farthest-first, so iterating it pops nodes in
+    nonincreasing distance) and preds[w] (the neighbors of w one hop
+    closer to the source) are derived on first access, since the
+    accumulation kernel walks levels and tests distances instead.
     """
 
     source: int
     dist: list[int]
-    sigma: list[int]
-    order: list[int]
+    sigma: list[float] | list[int]
+    levels: list[list[int]]
     adj: list[list[int]] = field(repr=False)
+
+    @cached_property
+    def order(self) -> list[int]:
+        return [v for level in reversed(self.levels) for v in reversed(level)]
 
     @cached_property
     def preds(self) -> list[list[int]]:
@@ -74,28 +86,50 @@ class BcResult:
 
 
 def sssp_bfs(g: Graph, s: int) -> SsspTree:
-    """Breadth-first shortest paths from s: distances, counts, visit order."""
+    """Breadth-first shortest paths from s: distances, counts, levels."""
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range for n={g.n}")
     adj = g.adj
     dist = [UNREACHABLE] * g.n
-    sigma = [0] * g.n
+    sigma = [0.0] * g.n
     dist[s] = 0
-    sigma[s] = 1
-    order = [s]
-    for v in order:  # appended to while walked: the BFS queue
-        nd = dist[v] + 1
-        sv = sigma[v]
-        for w in adj[v]:
-            dw = dist[w]
-            if dw < 0:
-                dist[w] = nd
-                sigma[w] = sv
-                order.append(w)
-            elif dw == nd:
-                sigma[w] += sv
-    order.reverse()
-    return SsspTree(source=s, dist=dist, sigma=sigma, order=order, adj=adj)
+    sigma[s] = 1.0
+    frontier = [s]
+    levels = [frontier]
+    nd = 0
+    rounded = False
+    while frontier:
+        nd += 1
+        nxt = []
+        for v in frontier:
+            sv = sigma[v]
+            for w in adj[v]:
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = nd
+                    sigma[w] = sv
+                    nxt.append(w)
+                elif dw == nd:
+                    sw = sigma[w] + sv
+                    sigma[w] = sw
+                    if sw >= FLOAT_EXACT:
+                        rounded = True
+        if nxt:
+            levels.append(nxt)
+        frontier = nxt
+    if rounded:
+        sigma = _int_counts(adj, dist, levels)
+    return SsspTree(source=s, dist=dist, sigma=sigma, levels=levels, adj=adj)
+
+
+def _int_counts(adj, dist, levels) -> list[int]:
+    """Exact path counts as Python ints, recounted from the BFS levels."""
+    sigma = [0] * len(dist)
+    sigma[levels[0][0]] = 1
+    for up, level in enumerate(levels[1:]):
+        for w in level:
+            sigma[w] = sum(sigma[v] for v in adj[w] if dist[v] == up)
+    return sigma
 
 
 def accumulate(g: Graph, sources, target=None, weight=None) -> list[float]:
@@ -108,11 +142,17 @@ def accumulate(g: Graph, sources, target=None, weight=None) -> list[float]:
     target None means 1.0 everywhere, which makes psi_s the plain
     dependency delta_s; weight None means 1 per source.  Because the
     recurrence is linear in its target term, target 1 + deg1 gives the
-    one-round sum delta + zeta in one pass.  The backward pass finds a
-    node's DAG parents by distance, so no predecessor lists are built.
+    one-round sum delta + zeta in one pass.
+
+    The backward pass walks sssp_bfs's levels farthest-first, each in
+    reverse visit order, and finds a node's DAG parents by distance, so
+    no predecessor lists are built.  With target and weight both None it
+    adds 1.0 + psi and psi directly, the same floats as the weighted
+    form with 1.0 and 1.
     """
     n = g.n
     adj = g.adj
+    unit = target is None and weight is None
     if target is None:
         target = [1.0] * n
     acc = [0.0] * n
@@ -120,17 +160,27 @@ def accumulate(g: Graph, sources, target=None, weight=None) -> list[float]:
         tree = sssp_bfs(g, s)
         dist = tree.dist
         sigma = tree.sigma
-        ws = 1 if weight is None else weight[s]
+        levels = tree.levels
         psi = [0.0] * n
-        order = tree.order
-        order.pop()  # the source comes last and depends on nothing
-        for w in order:
-            up = dist[w] - 1
-            coeff = (target[w] + psi[w]) / sigma[w]
-            for v in adj[w]:
-                if dist[v] == up:
-                    psi[v] += sigma[v] * coeff
-            acc[w] += ws * psi[w]
+        ws = 1.0 if weight is None else weight[s]
+        # levels[0] holds the source, which depends on nothing
+        for up in range(len(levels) - 2, -1, -1):
+            if unit:
+                for w in reversed(levels[up + 1]):
+                    pw = psi[w]
+                    coeff = (1.0 + pw) / sigma[w]
+                    for v in adj[w]:
+                        if dist[v] == up:
+                            psi[v] += sigma[v] * coeff
+                    acc[w] += pw
+            else:
+                for w in reversed(levels[up + 1]):
+                    pw = psi[w]
+                    coeff = (target[w] + pw) / sigma[w]
+                    for v in adj[w]:
+                        if dist[v] == up:
+                            psi[v] += sigma[v] * coeff
+                    acc[w] += ws * pw
     return acc
 
 
@@ -227,17 +277,23 @@ def accumulate_chunked(g: Graph, sources, target=None, weight=None,
                        threads: int = 1) -> list[float]:
     """accumulate() over run_chunked source chunks, summed in chunk order.
 
+    One chunk's partial is the result as it is; several are added
+    elementwise in chunk order.  The partials are non-negative, so this
+    gives the bits of adding them all into zeros.
+
     Small inputs (fewer than FORK_MIN_WORK source-edge pairs) run as one
     chunk whatever `threads` says, so they give the same bytes as a
     single-threaded run.
     """
     if len(sources) * g.m < FORK_MIN_WORK:
         threads = 1
-    acc = [0.0] * g.n
-    for partial in run_chunked(_accumulate_chunk, (g, sources, target, weight),
-                               len(sources), threads):
-        for v in range(g.n):
-            acc[v] += partial[v]
+    partials = run_chunked(_accumulate_chunk, (g, sources, target, weight),
+                           len(sources), threads)
+    if not partials:
+        return [0.0] * g.n
+    acc = partials[0]
+    for partial in partials[1:]:
+        acc = list(map(operator.add, acc, partial))
     return acc
 
 
@@ -262,17 +318,32 @@ def oracle_sigma(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (dist, sigma) as int64 matrices; dist is -1 for unreachable
     pairs and sigma is 0 there.  Intended for desk-scale graphs; path
-    counts beyond the int64 range raise OverflowError.
+    counts beyond the int64 range raise OverflowError.  The BFS counts
+    in Python ints and is its own rather than sssp_bfs, so the oracle
+    stays independent of the kernel it checks.
     """
     import numpy as np
     n = g.n
+    adj = g.adj
     dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
     sigma = np.zeros((n, n), dtype=np.int64)
     for s in range(n):
-        tree = sssp_bfs(g, s)
-        dist[s] = tree.dist
+        row_dist = [UNREACHABLE] * n
+        row_sigma = [0] * n
+        row_dist[s] = 0
+        row_sigma[s] = 1
+        queue = [s]
+        for v in queue:  # appended to while walked
+            nd = row_dist[v] + 1
+            for w in adj[v]:
+                if row_dist[w] < 0:
+                    row_dist[w] = nd
+                    queue.append(w)
+                if row_dist[w] == nd:
+                    row_sigma[w] += row_sigma[v]
+        dist[s] = row_dist
         try:
-            sigma[s] = tree.sigma
+            sigma[s] = row_sigma
         except OverflowError:
             raise OverflowError(
                 f"shortest-path counts from node {s} exceed the int64 range "

@@ -42,6 +42,16 @@ def path_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def diamond_chain(k: int) -> Graph:
+    """k diamonds in a row: hubs 3i and 3i + 3 joined through 3i + 1 and
+    3i + 2, so 2**k shortest paths run between the end hubs."""
+    edges = []
+    for i in range(k):
+        hub = 3 * i
+        edges += [(hub, hub + 1), (hub, hub + 2), (hub + 1, hub + 3), (hub + 2, hub + 3)]
+    return Graph.from_edges(3 * k + 1, edges)
+
+
 def pair_rooted_trees() -> list[Graph]:
     """Trees whose last peeling round is a two-node pair with subtrees
     below both nodes: node a holds 7 of the nodes and node b 3.  a gets

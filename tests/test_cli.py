@@ -18,7 +18,7 @@ from peelbc.cli import (
     scores_json,
 )
 
-from conftest import corpus
+from conftest import corpus, diamond_chain
 
 DOLPHINS = str(fixture_path("soc-dolphins"))
 WIKI_VOTE = str(fixture_path("soc-wiki-Vote"))
@@ -138,6 +138,33 @@ class TestExact:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "int64" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--algorithm", "brandes", "--threads", "1"],
+        ["exact", "--algorithm", "peel1", "--threads", "1"],
+        ["sample", "--method", "baseline", "--k", "3"],
+    ], ids=["brandes", "peel1", "sample-baseline"])
+    def test_path_counts_past_float_range_fail_with_one_line(self, argv, capsys, tmp_path):
+        chain = tmp_path / "chain.edges"  # 2**2100 end-to-end paths
+        chain.write_text("".join(f"{u} {v}\n" for u, v in diamond_chain(2100).edges()))
+        out = tmp_path / "scores.csv"
+        assert main([argv[0], str(chain), *argv[1:], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", DOLPHINS, "--threads", "0"],
+        ["exact", DOLPHINS, "--algorithm", "brandes", "--threads", "-4"],
+        ["bench", "--suite", "pivot-sweep", DOLPHINS, "--threads", "0"],
+    ], ids=["exact-0", "exact-neg", "bench-0"])
+    def test_threads_below_one_fail_with_one_line(self, argv, capsys, tmp_path):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --threads") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_json_output_with_metadata(self, star_file, tmp_path):
         out = tmp_path / "scores.json"

@@ -33,7 +33,7 @@ from peelbc import (
 from peelbc.exact import _normalizer
 from peelbc.peeling import _one_round, _pick_sources
 
-from conftest import corpus
+from conftest import corpus, diamond_chain
 
 # One-pass psi = delta + zeta against the two-accumulator sum: the worst
 # case is 4 ulps on the inputs below and 7 on the larger bundled fixtures.
@@ -85,6 +85,20 @@ def ref_delta_zeta(g: Graph, s: int, deg1: list[int]):
                 delta[v] += sv * coeff_d
                 zeta[v] += sv * coeff_z
     return delta, zeta
+
+
+def ref_accumulate(g: Graph, sources, target, weight) -> list[float]:
+    """The kernel's weighted totals from predecessor lists and int counts."""
+    acc = [0.0] * g.n
+    for s in sources:
+        _, sigma, preds, order = ref_sssp(g, s)
+        psi = [0.0] * g.n
+        for w in order[:-1]:  # the source comes last
+            coeff = (target[w] + psi[w]) / sigma[w]
+            for v in preds[w]:
+                psi[v] += sigma[v] * coeff
+            acc[w] += weight[s] * psi[w]
+    return acc
 
 
 def ref_brandes(g: Graph) -> list[float]:
@@ -251,3 +265,22 @@ def test_accumulate_weights_and_targets():
     assert accumulate(g, range(5), target=[1.0] * 5, weight=[1] * 5) == ones
     assert accumulate(g, range(5), weight=[2] * 5) == [2 * x for x in ones]
     assert accumulate(g, [0], target=[0.0] * 5) == [0.0] * 5
+
+
+@pytest.mark.parametrize("g, sources", [
+    (diamond_chain(60), range(181)),
+    (grid(35), [0, 34, 5 * 35 + 2, 17 * 35 + 17, 1224]),
+], ids=["diamond-chain-60", "grid35"])
+def test_counts_past_2_53_match_reference(g, sources):
+    """Sources whose path counts reach 2**53 take the int-count branch;
+    their scores keep the bits of the int reference loop."""
+    sources = list(sources)
+    trees = [sssp_bfs(g, s) for s in sources]
+    assert any(isinstance(x, int) for tree in trees for x in tree.sigma)
+    for tree in trees:
+        assert tree.sigma == ref_sssp(g, tree.source)[1]
+    n = g.n
+    assert accumulate(g, sources) == ref_accumulate(g, sources, [1.0] * n, [1] * n)
+    target = [1.0 + v % 3 for v in range(n)]
+    assert (accumulate(g, sources, target=target, weight=target)
+            == ref_accumulate(g, sources, target, target))
