@@ -12,6 +12,7 @@ called, so scoring through the kernel never loads it.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import operator
 import warnings
@@ -32,7 +33,7 @@ UNREACHABLE = -1
 ORACLE_SIZE_WARNING = 500
 
 # Path counts are summed as floats, which hold every integer below 2**53
-# exactly; a source whose counts reach it is recounted in ints.
+# exactly; from the BFS level where a count reaches it, they are ints.
 FLOAT_EXACT = 2.0 ** 53
 
 
@@ -42,19 +43,24 @@ class SsspTree:
 
     dist uses -1 for unreachable nodes.  levels[d] lists the nodes at
     distance d in visit order, so levels[0] is [source].  sigma counts
-    shortest paths from the source: floats while every count stays below
-    2**53, where float sums of integers are exact, and Python ints for a
-    source whose counts reach it; unreached nodes count 0.  order (the
-    reached nodes farthest-first, so iterating it pops nodes in
-    nonincreasing distance) and preds[w] (the neighbors of w one hop
+    shortest paths from the source: floats while they stay below 2**53,
+    where float sums of integers are exact, and Python ints for a
+    source's levels from the first one where a count reaches it (earlier
+    levels keep their exact floats); unreached nodes count 0.  first_pred[w]
+    is the neighbor w was discovered from; it is w's only DAG parent
+    exactly when sigma[w] == sigma[first_pred[w]], as a second parent
+    adds at least 1 (unset for the source and unreached nodes).  order
+    (the reached nodes farthest-first, so iterating it pops nodes in
+    nonincreasing distance) and preds[w] (all neighbors of w one hop
     closer to the source) are derived on first access, since the
     accumulation kernel walks levels and tests distances instead.
     """
 
     source: int
     dist: list[int]
-    sigma: list[float] | list[int]
+    sigma: list[float | int]
     levels: list[list[int]]
+    first_pred: list[int] = field(repr=False)
     adj: list[list[int]] = field(repr=False)
 
     @cached_property
@@ -92,11 +98,13 @@ def sssp_bfs(g: Graph, s: int) -> SsspTree:
     adj = g.adj
     dist = [UNREACHABLE] * g.n
     sigma = [0.0] * g.n
+    first_pred = [UNREACHABLE] * g.n
     dist[s] = 0
     sigma[s] = 1.0
     frontier = [s]
     levels = [frontier]
     nd = 0
+    exact_below = FLOAT_EXACT
     rounded = False
     while frontier:
         nd += 1
@@ -108,28 +116,31 @@ def sssp_bfs(g: Graph, s: int) -> SsspTree:
                 if dw < 0:
                     dist[w] = nd
                     sigma[w] = sv
+                    first_pred[w] = v
                     nxt.append(w)
                 elif dw == nd:
                     sw = sigma[w] + sv
                     sigma[w] = sw
-                    if sw >= FLOAT_EXACT:
+                    if sw >= exact_below:
                         rounded = True
+        if rounded:
+            # A sum reached 2**53 and may have rounded: recount this level
+            # in ints from the exact floats before it.  Farther levels then
+            # add ints, which are exact, so no later sum needs checking.
+            for w in nxt:
+                sigma[w] = 0
+            for v in frontier:
+                sv = int(sigma[v])
+                for w in adj[v]:
+                    if dist[w] == nd:
+                        sigma[w] += sv
+            rounded = False
+            exact_below = math.inf
         if nxt:
             levels.append(nxt)
         frontier = nxt
-    if rounded:
-        sigma = _int_counts(adj, dist, levels)
-    return SsspTree(source=s, dist=dist, sigma=sigma, levels=levels, adj=adj)
-
-
-def _int_counts(adj, dist, levels) -> list[int]:
-    """Exact path counts as Python ints, recounted from the BFS levels."""
-    sigma = [0] * len(dist)
-    sigma[levels[0][0]] = 1
-    for up, level in enumerate(levels[1:]):
-        for w in level:
-            sigma[w] = sum(sigma[v] for v in adj[w] if dist[v] == up)
-    return sigma
+    return SsspTree(source=s, dist=dist, sigma=sigma, levels=levels,
+                    first_pred=first_pred, adj=adj)
 
 
 def accumulate(g: Graph, sources, target=None, weight=None) -> list[float]:
@@ -145,10 +156,12 @@ def accumulate(g: Graph, sources, target=None, weight=None) -> list[float]:
     one-round sum delta + zeta in one pass.
 
     The backward pass walks sssp_bfs's levels farthest-first, each in
-    reverse visit order, and finds a node's DAG parents by distance, so
-    no predecessor lists are built.  With target and weight both None it
-    adds 1.0 + psi and psi directly, the same floats as the weighted
-    form with 1.0 and 1.
+    reverse visit order.  A node with one DAG parent (its path count
+    equals its first_pred's) passes psi straight to it; any other finds
+    its parents by distance, so no predecessor lists are built.  Each
+    psi[v] receives the same terms in the same order either way.  With
+    target and weight both None it adds 1.0 + psi and psi directly, the
+    same floats as the weighted form with 1.0 and 1.
     """
     n = g.n
     adj = g.adj
@@ -161,6 +174,7 @@ def accumulate(g: Graph, sources, target=None, weight=None) -> list[float]:
         dist = tree.dist
         sigma = tree.sigma
         levels = tree.levels
+        first_pred = tree.first_pred
         psi = [0.0] * n
         ws = 1.0 if weight is None else weight[s]
         # levels[0] holds the source, which depends on nothing
@@ -168,18 +182,30 @@ def accumulate(g: Graph, sources, target=None, weight=None) -> list[float]:
             if unit:
                 for w in reversed(levels[up + 1]):
                     pw = psi[w]
-                    coeff = (1.0 + pw) / sigma[w]
-                    for v in adj[w]:
-                        if dist[v] == up:
-                            psi[v] += sigma[v] * coeff
+                    sw = sigma[w]
+                    coeff = (1.0 + pw) / sw
+                    v = first_pred[w]
+                    sv = sigma[v]
+                    if sv == sw:  # one DAG parent
+                        psi[v] += sv * coeff
+                    else:
+                        for v in adj[w]:
+                            if dist[v] == up:
+                                psi[v] += sigma[v] * coeff
                     acc[w] += pw
             else:
                 for w in reversed(levels[up + 1]):
                     pw = psi[w]
-                    coeff = (target[w] + pw) / sigma[w]
-                    for v in adj[w]:
-                        if dist[v] == up:
-                            psi[v] += sigma[v] * coeff
+                    sw = sigma[w]
+                    coeff = (target[w] + pw) / sw
+                    v = first_pred[w]
+                    sv = sigma[v]
+                    if sv == sw:  # one DAG parent
+                        psi[v] += sv * coeff
+                    else:
+                        for v in adj[w]:
+                            if dist[v] == up:
+                                psi[v] += sigma[v] * coeff
                     acc[w] += ws * pw
     return acc
 
