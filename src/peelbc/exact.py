@@ -43,17 +43,17 @@ class SsspTree:
 
     dist uses -1 for unreachable nodes.  levels[d] lists the nodes at
     distance d in visit order, so levels[0] is [source].  sigma counts
-    shortest paths from the source: floats while they stay below 2**53,
-    where float sums of integers are exact, and Python ints for a
-    source's levels from the first one where a count reaches it (earlier
-    levels keep their exact floats); unreached nodes count 0.  first_pred[w]
-    is the neighbor w was discovered from; it is w's only DAG parent
-    exactly when sigma[w] == sigma[first_pred[w]], as a second parent
-    adds at least 1 (unset for the source and unreached nodes).  order
-    (the reached nodes farthest-first, so iterating it pops nodes in
-    nonincreasing distance) and preds[w] (all neighbors of w one hop
-    closer to the source) are derived on first access, since the
-    accumulation kernel walks levels and tests distances instead.
+    shortest paths from the source: floats below 2**53, where float sums
+    of integers are exact, and Python ints from the first level where a
+    count reaches 2**53 on (earlier levels keep their exact floats);
+    unreached nodes count 0.  first_pred[w] is the neighbor w was
+    discovered from (-1 for the source and unreached nodes); it is w's
+    only DAG parent exactly when sigma[w] == sigma[first_pred[w]], since
+    a second parent adds at least 1.  order (the reached nodes
+    farthest-first, so iterating it pops nodes in nonincreasing
+    distance) and preds[w] (all neighbors of w one hop closer to the
+    source) are derived on first access, since the accumulation kernel
+    walks levels and tests distances instead.
     """
 
     source: int
