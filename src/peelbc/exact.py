@@ -39,10 +39,12 @@ FLOAT_EXACT = 2.0 ** 53
 
 @dataclass
 class SsspTree:
-    """One BFS shortest-path DAG, level by level.
+    """One BFS shortest-path DAG, level by level, over the graph the
+    search ran on (ids and adj are that graph's).
 
     dist uses -1 for unreachable nodes.  levels[d] lists the nodes at
-    distance d in visit order, so levels[0] is [source].  sigma counts
+    distance d in visit order, so levels[0] is [source], and the last
+    level is the farthest one reached.  sigma counts
     shortest paths from the source: floats below 2**53, where float sums
     of integers are exact, and Python ints from the first level where a
     count reaches 2**53 on (earlier levels keep their exact floats);
@@ -92,21 +94,28 @@ class BcResult:
 
 
 def sssp_bfs(g: Graph, s: int) -> SsspTree:
-    """Breadth-first shortest paths from s: distances, counts, levels."""
-    if not 0 <= s < g.n:
-        raise ValueError(f"source {s} out of range for n={g.n}")
+    """Breadth-first shortest paths from s: distances, counts, levels.
+
+    The search stops once it has reached every node of g: it records
+    that last level but does not scan its adjacency, which can discover
+    nothing.
+    """
+    n = g.n
+    if not 0 <= s < n:
+        raise ValueError(f"source {s} out of range for n={n}")
     adj = g.adj
-    dist = [UNREACHABLE] * g.n
-    sigma = [0.0] * g.n
-    first_pred = [UNREACHABLE] * g.n
+    dist = [UNREACHABLE] * n
+    sigma = [0.0] * n
+    first_pred = [UNREACHABLE] * n
     dist[s] = 0
     sigma[s] = 1.0
     frontier = [s]
     levels = [frontier]
+    reached = 1
     nd = 0
     exact_below = FLOAT_EXACT
     rounded = False
-    while frontier:
+    while reached < n:
         nd += 1
         nxt = []
         for v in frontier:
@@ -136,8 +145,10 @@ def sssp_bfs(g: Graph, s: int) -> SsspTree:
                         sigma[w] += sv
             rounded = False
             exact_below = math.inf
-        if nxt:
-            levels.append(nxt)
+        if not nxt:
+            break
+        levels.append(nxt)
+        reached += len(nxt)
         frontier = nxt
     return SsspTree(source=s, dist=dist, sigma=sigma, levels=levels,
                     first_pred=first_pred, adj=adj)
@@ -159,9 +170,11 @@ def accumulate(g: Graph, sources, target=None, weight=None) -> list[float]:
     reverse visit order.  A node with one DAG parent (its path count
     equals its first_pred's) passes psi straight to it; any other finds
     its parents by distance, so no predecessor lists are built.  Each
-    psi[v] receives the same terms in the same order either way.  With
-    target and weight both None it adds 1.0 + psi and psi directly, the
-    same floats as the weighted form with 1.0 and 1.
+    psi[v] receives the same terms in the same order either way.  On the
+    farthest level psi is 0.0, so that level adds nothing to the totals
+    and passes target / sigma up.  Elsewhere, with target and weight both
+    None, it adds 1.0 + psi and psi directly.  Both give the same floats
+    as the general form, since x + 0.0 == x and x * 1 == x.
     """
     n = g.n
     adj = g.adj
@@ -175,10 +188,25 @@ def accumulate(g: Graph, sources, target=None, weight=None) -> list[float]:
         sigma = tree.sigma
         levels = tree.levels
         first_pred = tree.first_pred
+        top = len(levels) - 1
+        if not top:  # the source reaches nothing
+            continue
         psi = [0.0] * n
         ws = 1.0 if weight is None else weight[s]
+        up = top - 1
+        for w in reversed(levels[top]):
+            sw = sigma[w]
+            coeff = target[w] / sw
+            v = first_pred[w]
+            sv = sigma[v]
+            if sv == sw:  # one DAG parent
+                psi[v] += sv * coeff
+            else:
+                for v in adj[w]:
+                    if dist[v] == up:
+                        psi[v] += sigma[v] * coeff
         # levels[0] holds the source, which depends on nothing
-        for up in range(len(levels) - 2, -1, -1):
+        for up in range(top - 2, -1, -1):
             if unit:
                 for w in reversed(levels[up + 1]):
                     pw = psi[w]
@@ -285,12 +313,13 @@ def run_chunked(worker, common_args: tuple, n_items: int, threads: int) -> list:
             recv.close()
 
 
-# Below this many source-edge pairs (sources x edges of the graph the
-# kernel runs on) a forked worker costs more than it saves, so the work
-# runs as one chunk in the caller.  `exact --threads 1` vs `--threads 2`
-# with forking forced, best of 9 on a 2-vCPU Xeon VM: soc-dolphins
-# brandes (9.9k pairs) 9.7 vs 14.2 ms, peel1 (8.0k) 8.5 vs 12.6 ms;
-# cp-3000 peel1 (31k) 34 vs 38 ms; ca-CSphd peel1 (239k) 165 vs 120 ms.
+# Below this many source-edge pairs (each source times the edges of the
+# component it runs on) a forked worker costs more than it saves, so the
+# work runs as one chunk in the caller.  `exact --threads 1` vs
+# `--threads 2` with forking forced, best of 9 on a 2-vCPU Xeon VM:
+# soc-dolphins brandes (9.9k pairs) 9.7 vs 14.2 ms, peel1 (8.0k) 8.5 vs
+# 12.6 ms; cp-3000 peel1 (31k) 34 vs 38 ms; ca-CSphd peel1 (179k) 165 vs
+# 120 ms.
 FORK_MIN_WORK = 100_000
 
 
@@ -299,9 +328,53 @@ def _accumulate_chunk(g: Graph, sources, target, weight,
     return accumulate(g, sources[lo:hi], target, weight)
 
 
-def accumulate_chunked(g: Graph, sources, target=None, weight=None,
+def _components_chunk(g: Graph, groups: list[tuple[list[int], int]], target,
+                      weight, lo: int, hi: int) -> list[float]:
+    """The kernel over the sources whose work units start in lo..hi-1.
+
+    groups holds (nodes, edges) per component: its nodes ascending, each
+    a source worth `edges` units, so that chunks of equal units carry
+    about equal work.  Each group runs on a compact subgraph of its own,
+    built when reached; renumbering a whole component in ascending order
+    keeps every adjacency list sorted and every BFS visit order.  A
+    connected g is its own compact subgraph.
+    """
+    adj = g.adj
+    pos = [0] * g.n
+    acc = [0.0] * g.n
+    first = 0
+    for nodes, edges in groups:
+        a = max(-((first - lo) // edges), 0)
+        b = min(-((first - hi) // edges), len(nodes))
+        first += len(nodes) * edges
+        if a >= b:
+            continue
+        if len(nodes) == g.n:
+            return accumulate(g, range(a, b), target, weight)
+        for i, v in enumerate(nodes):
+            pos[v] = i
+        sub = Graph([[pos[w] for w in adj[v]] for v in nodes], nodes)
+        part = accumulate(sub, range(a, b),
+                          None if target is None else [target[v] for v in nodes],
+                          None if weight is None else [weight[v] for v in nodes])
+        for v, x in zip(nodes, part):
+            acc[v] = x
+    return acc
+
+
+def accumulate_chunked(g: Graph, sources=None, target=None, weight=None,
                        threads: int = 1) -> list[float]:
     """accumulate() over run_chunked source chunks, summed in chunk order.
+
+    `sources` None means every node of g.  The kernel then runs once per
+    connected component of at least two nodes, on a compact subgraph of
+    its own, so a source's per-node lists span only its component.  The
+    components go in order of their lowest node and each one's sources
+    ascending, so every node receives the terms that
+    accumulate(g, range(g.n)) adds to it, in the same order.  Chunks
+    split these sources by work (each source times the edges of its
+    component) rather than by count.  Other source lists run on g as
+    they are, split by count.
 
     One chunk's partial is the result as it is; several are added
     elementwise in chunk order.  The partials are non-negative, so this
@@ -309,12 +382,27 @@ def accumulate_chunked(g: Graph, sources, target=None, weight=None,
 
     Small inputs (fewer than FORK_MIN_WORK source-edge pairs) run as one
     chunk whatever `threads` says, so they give the same bytes as a
-    single-threaded run.
+    single-threaded run.  `threads` below 1 raises ValueError.
     """
-    if len(sources) * g.m < FORK_MIN_WORK:
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if sources is None:
+        comp = g.component_ids()[0]
+        members = [[] for _ in range(max(comp, default=-1) + 1)]
+        for v, c in enumerate(comp):
+            members[c].append(v)
+        adj = g.adj
+        groups = [(nodes, sum(map(len, map(adj.__getitem__, nodes))) // 2)
+                  for nodes in members if len(nodes) > 1]
+        work = sum(len(nodes) * edges for nodes, edges in groups)
+        worker, args, n_items = _components_chunk, (g, groups, target, weight), work
+    else:
+        work = len(sources) * g.m
+        worker, args, n_items = (_accumulate_chunk, (g, sources, target, weight),
+                                 len(sources))
+    if work < FORK_MIN_WORK:
         threads = 1
-    partials = run_chunked(_accumulate_chunk, (g, sources, target, weight),
-                           len(sources), threads)
+    partials = run_chunked(worker, args, n_items, threads)
     if not partials:
         return [0.0] * g.n
     acc = partials[0]
@@ -335,7 +423,7 @@ def brandes_exact(g: Graph, threads: int = 1) -> BcResult:
     bc = [0.0] * n
     if n > 2:
         norm = _normalizer(n)
-        bc = [x / norm for x in accumulate_chunked(g, range(n), threads=threads)]
+        bc = [x / norm for x in accumulate_chunked(g, threads=threads)]
     return BcResult(bc=bc, algorithm="brandes", elapsed=perf_counter() - start)
 
 

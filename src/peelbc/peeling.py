@@ -140,11 +140,16 @@ def _peeled_scores(g: Graph, one: _Peeled, sources, scale: float | None,
     """Scores from the set-up: the kernel on the kept subgraph with
     target = weight = 1 + T (psi = delta + zeta in one pass per source),
     the sum rescaled by `scale` when sources are sampled, then the
-    closed-form terms.  Removed nodes with nothing below them score 0."""
+    closed-form terms.  Removed nodes with nothing below them score 0.
+
+    `sources` None runs every kept node, component by component.  When
+    no node has anything below it, every 1 + T is 1.0 and the kernel
+    takes its unit branch, which gives the same floats."""
     bc = [0.0] * g.n
     if g.n > 2:
-        acc = accumulate_chunked(one.sub, sources, target=one.weight,
-                                 weight=one.weight, threads=threads)
+        weight = one.weight if any(one.T) else None
+        acc = accumulate_chunked(one.sub, sources, target=weight, weight=weight,
+                                 threads=threads)
         if scale is not None:
             acc = [x * scale for x in acc]
         _add_pendant_terms(bc, one, acc)
@@ -187,7 +192,8 @@ def bc_one_round_mem(
     one = _one_round(g)
     nt = len(one.kept)
     sources, sampled = _pick_sources(nt, k, seed)
-    bc = _peeled_scores(g, one, sources, nt / k if sampled else None, threads)
+    bc = _peeled_scores(g, one, sources if sampled else None,
+                        nt / k if sampled else None, threads)
     return BcResult(
         bc=bc,
         algorithm="peel1-mem",
@@ -209,7 +215,6 @@ def bc_via_2core_recurrence(g: Graph, threads: int = 1) -> BcResult:
     """
     start = perf_counter()
     one = _full_peel(g)
-    sources = list(range(len(one.kept)))
-    bc = _peeled_scores(g, one, sources, None, threads)
+    bc = _peeled_scores(g, one, None, None, threads)
     return BcResult(bc=bc, algorithm="2core-recurrence",
                     elapsed=perf_counter() - start, peeled=one.decomp)

@@ -95,7 +95,7 @@ def sample_bc_peeled(
     one = _one_round(g)
     nt = len(one.kept)
     if cfg.k >= nt:
-        bc = _peeled_scores(g, one, list(range(nt)), None, threads=1)
+        bc = _peeled_scores(g, one, None, None, threads=1)
         k = seed = None
     else:
         bc = [0.0] * n

@@ -10,7 +10,10 @@ import pytest
 
 from peelbc import (
     Graph,
+    bc_one_round_mem,
+    bc_via_2core_recurrence,
     brandes_exact,
+    load_fixture,
     oracle_bc,
     oracle_sigma,
     source_dependency,
@@ -20,6 +23,7 @@ from peelbc.exact import (
     FORK_MIN_WORK,
     ORACLE_SIZE_WARNING,
     _dependency_totals,
+    accumulate_chunked,
     run_chunked,
 )
 
@@ -100,6 +104,23 @@ class TestSsspBfs:
         with pytest.raises(ValueError):
             sssp_bfs(CYCLE4, 9)
 
+    @pytest.mark.parametrize("edges, n, scanned", [
+        ([(0, 1), (1, 2), (2, 3)], 4, [0, 1, 2]),  # stops on reaching node 3
+        ([(0, 1), (1, 2), (3, 4)], 5, [0, 1, 2]),  # 3 and 4 are never reached
+        ([(0, 1), (1, 2), (2, 0)], 3, [0]),
+    ])
+    def test_farthest_level_is_not_scanned_once_all_are_reached(self, edges, n, scanned):
+        class RecordingAdj(list):
+            def __getitem__(self, v):
+                seen.append(v)
+                return super().__getitem__(v)
+
+        seen = []
+        g = Graph(RecordingAdj(Graph.from_edges(n, edges).adj))
+        tree = sssp_bfs(g, 0)
+        assert seen == scanned
+        assert tree.order == sssp_bfs(Graph.from_edges(n, edges), 0).order
+
     @pytest.mark.parametrize("seed", range(8))
     def test_tree_invariants(self, seed):
         g = corpus_graph(seed)
@@ -162,6 +183,15 @@ class TestBrandesExact:
     def test_deterministic_bit_identical(self):
         g = corpus_graph(5)
         assert brandes_exact(g).bc == brandes_exact(g).bc
+
+    def test_threads_below_one_raise(self):
+        g = load_fixture("soc-dolphins")
+        for threads in (0, -4):
+            for algorithm in (brandes_exact, bc_one_round_mem, bc_via_2core_recurrence):
+                with pytest.raises(ValueError, match="threads"):
+                    algorithm(g, threads=threads)
+            with pytest.raises(ValueError, match="threads"):
+                accumulate_chunked(g, [0, 1], threads=threads)
 
     def test_threads_agree_with_serial(self, fork_calls):
         g = er_with_exact_pendants(200, 260, 0.05, seed=7)

@@ -7,6 +7,10 @@ pendant-weighted dependency (zeta) as two accumulators.  Paths whose
 arithmetic is unchanged must match it exactly.  Paths that now
 accumulate psi = delta + zeta in one pass round differently, and must
 stay within MAX_ULPS of it per score.
+
+`single_pass` is the exact algorithms as they stood before they ran the
+kernel once per connected component: one kernel pass over the whole
+graph with every node a source.  Splitting by component moves no bit.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from peelbc import (
     accumulate,
     accumulate_delta_zeta,
     bc_one_round_mem,
+    bc_via_2core_recurrence,
     brandes_exact,
     load_fixture,
     sample_bc_baseline,
@@ -31,7 +36,7 @@ from peelbc import (
     sssp_bfs,
 )
 from peelbc.exact import _normalizer
-from peelbc.peeling import _one_round, _pick_sources
+from peelbc.peeling import _add_pendant_terms, _full_peel, _one_round, _pick_sources
 
 from conftest import corpus, diamond_chain
 
@@ -284,3 +289,73 @@ def test_counts_past_2_53_match_reference(g, sources):
     target = [1.0 + v % 3 for v in range(n)]
     assert (accumulate(g, sources, target=target, weight=target)
             == ref_accumulate(g, sources, target, target))
+
+
+def single_pass(g: Graph, set_up=None) -> list[float]:
+    """Exact scores from one kernel pass over every node as a source: on
+    g for Brandes (set_up None), else on the set-up's kept subgraph with
+    target = weight = 1 + T, plus the closed-form terms."""
+    n = g.n
+    if n <= 2:
+        return [0.0] * n
+    if set_up is None:
+        norm = _normalizer(n)
+        return [x / norm for x in accumulate(g, range(n))]
+    one = set_up(g)
+    acc = accumulate(one.sub, range(one.sub.n), target=one.weight, weight=one.weight)
+    bc = [0.0] * n
+    _add_pendant_terms(bc, one, acc)
+    return bc
+
+
+def random_forest(sizes: list[int], seed: int) -> Graph:
+    """Random trees of the given sizes (1 is an isolated node), their
+    ids shuffled so that components interleave."""
+    rng = random.Random(seed)
+    perm = list(range(sum(sizes)))
+    rng.shuffle(perm)
+    edges = []
+    first = 0
+    for size in sizes:
+        edges += [(perm[first + i], perm[first + rng.randrange(i)]) for i in range(1, size)]
+        first += size
+    return Graph.from_edges(len(perm), edges)
+
+
+# (label, graph): isolated nodes and two-node components mixed in with
+# larger ones, many tree components, odd cycles (whose farthest level has
+# an edge inside it), a diamond chain whose end hub's path count reaches
+# 2**53 on its farthest level, and the two disconnected fixtures.
+SPLIT_CASES = [
+    ("isolated", Graph.from_edges(9, [(1, 4), (4, 7), (7, 1), (7, 3), (8, 5)])),
+    ("two-node", random_forest([2] * 6 + [1, 1, 3], seed=1)),
+    ("forest", random_forest([1, 2, 3, 5, 8, 13, 2, 1, 21, 4, 7] * 3, seed=2)),
+    ("odd-cycles", Graph.from_edges(12, [(i, (i + 1) % 7) for i in range(7)]
+                                    + [(7, 8), (8, 9), (9, 7), (9, 10), (10, 11)])),
+    ("diamond-chain-53", diamond_chain(53)),
+    ("ca-CSphd", load_fixture("ca-CSphd")),
+    ("rt_obama", load_fixture("rt_obama")),
+]
+
+
+@pytest.fixture(scope="module")
+def rt_obama_brandes() -> list[float]:
+    return brandes_exact(load_fixture("rt_obama"), threads=1).bc
+
+
+@pytest.mark.parametrize("label, g", SPLIT_CASES, ids=[c[0] for c in SPLIT_CASES])
+def test_per_component_runs_match_single_pass(label, g, request):
+    if label == "diamond-chain-53":
+        tree = sssp_bfs(g, 0)
+        assert tree.levels[-1] == [g.n - 1] and tree.sigma[-1] == 2**53
+        assert isinstance(tree.sigma[-1], int)
+    brandes = (request.getfixturevalue("rt_obama_brandes") if label == "rt_obama"
+               else brandes_exact(g, threads=1).bc)
+    assert brandes == single_pass(g)
+    assert bc_one_round_mem(g, threads=1).bc == single_pass(g, _one_round)
+    assert bc_via_2core_recurrence(g, threads=1).bc == single_pass(g, _full_peel)
+
+
+def test_brandes_threads_agree_on_rt_obama(rt_obama_brandes):
+    parallel = brandes_exact(load_fixture("rt_obama"), threads=2).bc
+    assert parallel == pytest.approx(rt_obama_brandes, abs=1e-12)
