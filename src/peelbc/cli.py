@@ -434,6 +434,7 @@ def _add_io_flags(p, scores: bool = True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the peelbc command line."""
     parser = argparse.ArgumentParser(
         prog="peelbc",
         description="Betweenness centrality with degree-1 peeling",
@@ -487,8 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--core", type=int, default=50)
-    p.add_argument("--v1-grid", type=int, nargs="+", default=list(DEFAULT_V1_GRID))
-    p.add_argument("--k-grid", type=int, nargs="+", default=list(DEFAULT_K_GRID))
+    # Tuples: argparse hands each default object itself to every namespace.
+    p.add_argument("--v1-grid", type=int, nargs="+", default=DEFAULT_V1_GRID)
+    p.add_argument("--k-grid", type=int, nargs="+", default=DEFAULT_K_GRID)
     p.add_argument("--attachment",
                    choices=tuple(a.value for a in Attachment),
                    default=Attachment.GEOMETRIC_HALVING.value,
@@ -499,9 +501,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns its exit code.
+
+    The parser is built on the first call and reused by later calls in
+    the process, so an in-process call pays argument parsing only.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")

@@ -7,13 +7,13 @@ oracle_bc) recomputes everything from per-source BFS distance and
 path-count matrices and serves as ground truth for the rest of the
 package; it is deliberately independent of the kernel it checks.  The
 oracles are the only code here that uses numpy, and they import it when
-called, so scoring through the kernel never loads it.
+called, so scoring through the kernel never loads it.  multiprocessing
+likewise loads only when run_chunked forks.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -265,20 +265,21 @@ def _chunk_child(conn, worker, common_args: tuple, lo: int, hi: int) -> None:
     conn.close()
 
 
-def run_chunked(worker, common_args: tuple, n_items: int, threads: int) -> list:
-    """Run `worker(*common_args, lo, hi)` over item chunks, in order.
+def run_chunked(worker, common_args: tuple, chunks: list[tuple[int, int]]) -> list:
+    """Run `worker(*common_args, lo, hi)` over the (lo, hi) chunks, in order.
 
     With more than one chunk, chunk 0 runs in the calling process and
     every other chunk in a forked process of its own, which sends its
-    result back over a one-way pipe.  Partial results come back in
-    ascending chunk order so the caller's reduction order is fixed
-    regardless of scheduling.  An exception raised in a chunk is
-    re-raised here; a chunk process that dies without a result raises
-    RuntimeError.  No chunk process outlives the call.
+    result back over a one-way pipe; multiprocessing is imported only
+    then.  Partial results come back in chunk order so the caller's
+    reduction order is fixed regardless of scheduling.  An exception
+    raised in a chunk is re-raised here; a chunk process that dies
+    without a result raises RuntimeError.  No chunk process outlives the
+    call.
     """
-    chunks = source_chunks(n_items, threads)
     if len(chunks) <= 1:
         return [worker(*common_args, lo, hi) for lo, hi in chunks]
+    import multiprocessing
     ctx = multiprocessing.get_context("fork")
     children = []
     finished = False
@@ -328,27 +329,37 @@ def _accumulate_chunk(g: Graph, sources, target, weight,
     return accumulate(g, sources[lo:hi], target, weight)
 
 
-def _components_chunk(g: Graph, groups: list[tuple[list[int], int]], target,
-                      weight, lo: int, hi: int) -> list[float]:
-    """The kernel over the sources whose work units start in lo..hi-1.
+def _group_ranges(groups: list[tuple[list[int], int]], lo: int, hi: int):
+    """(nodes, a, b) for each group whose sources nodes[a:b] start their
+    work units in lo..hi-1.
 
     groups holds (nodes, edges) per component: its nodes ascending, each
-    a source worth `edges` units, so that chunks of equal units carry
-    about equal work.  Each group runs on a compact subgraph of its own,
-    built when reached; renumbering a whole component in ascending order
-    keeps every adjacency list sorted and every BFS visit order.  A
-    connected g is its own compact subgraph.
+    a source worth `edges` units, laid end to end in group order, so
+    that chunks of equal units carry about equal work.
     """
-    adj = g.adj
-    pos = [0] * g.n
-    acc = [0.0] * g.n
     first = 0
     for nodes, edges in groups:
         a = max(-((first - lo) // edges), 0)
         b = min(-((first - hi) // edges), len(nodes))
         first += len(nodes) * edges
-        if a >= b:
-            continue
+        if a < b:
+            yield nodes, a, b
+
+
+def _components_chunk(g: Graph, groups: list[tuple[list[int], int]], target,
+                      weight, lo: int, hi: int) -> list[float]:
+    """The kernel over the sources whose work units start in lo..hi-1
+    (see _group_ranges).
+
+    Each group runs on a compact subgraph of its own, built when
+    reached; renumbering a whole component in ascending order keeps
+    every adjacency list sorted and every BFS visit order.  A connected
+    g is its own compact subgraph.
+    """
+    adj = g.adj
+    pos = [0] * g.n
+    acc = [0.0] * g.n
+    for nodes, a, b in _group_ranges(groups, lo, hi):
         if len(nodes) == g.n:
             return accumulate(g, range(a, b), target, weight)
         for i, v in enumerate(nodes):
@@ -373,8 +384,9 @@ def accumulate_chunked(g: Graph, sources=None, target=None, weight=None,
     ascending, so every node receives the terms that
     accumulate(g, range(g.n)) adds to it, in the same order.  Chunks
     split these sources by work (each source times the edges of its
-    component) rather than by count.  Other source lists run on g as
-    they are, split by count.
+    component) rather than by count, and a chunk in which no source
+    starts is not run.  Other source lists run on g as they are, split
+    by count.
 
     One chunk's partial is the result as it is; several are added
     elementwise in chunk order.  The partials are non-negative, so this
@@ -382,7 +394,8 @@ def accumulate_chunked(g: Graph, sources=None, target=None, weight=None,
 
     Small inputs (fewer than FORK_MIN_WORK source-edge pairs) run as one
     chunk whatever `threads` says, so they give the same bytes as a
-    single-threaded run.  `threads` below 1 raises ValueError.
+    single-threaded run.  No more chunks run than there are sources.
+    `threads` below 1 raises ValueError.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -402,7 +415,10 @@ def accumulate_chunked(g: Graph, sources=None, target=None, weight=None,
                                  len(sources))
     if work < FORK_MIN_WORK:
         threads = 1
-    partials = run_chunked(worker, args, n_items, threads)
+    chunks = source_chunks(n_items, threads)
+    if sources is None:
+        chunks = [(lo, hi) for lo, hi in chunks if any(_group_ranges(groups, lo, hi))]
+    partials = run_chunked(worker, args, chunks)
     if not partials:
         return [0.0] * g.n
     acc = partials[0]

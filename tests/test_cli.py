@@ -2,6 +2,10 @@ import csv
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ import peelbc.cli
 import peelbc.peeling
 from peelbc import BcResult, Graph, fixture_path, load_matrix_market, peel_diagnostics
 from peelbc.cli import (
+    DEFAULT_K_GRID,
+    DEFAULT_V1_GRID,
     EXACT_ALGORITHMS,
     RunRecord,
     _label_key,
@@ -464,3 +470,69 @@ class TestBench:
             ("50", "baseline"), ("50", "peeled"),
             ("100", "baseline"), ("100", "peeled"),
         }
+
+
+class TestCachedParser:
+    """main reuses one parser for every call in a process; no call may
+    see what an earlier one parsed."""
+
+    def test_flag_does_not_carry_over(self, star_file, tmp_path):
+        json_out, csv_out = tmp_path / "a.json", tmp_path / "b.csv"
+        assert main(["exact", star_file, "--format", "json", "--out", str(json_out)]) == 0
+        assert main(["exact", star_file, "--out", str(csv_out)]) == 0
+        assert json.loads(json_out.read_text())["scores"]
+        assert csv_out.read_text().startswith("node,bc\n")
+
+    def test_truth_does_not_carry_over(self, star_file, tmp_path):
+        truth = tmp_path / "truth.csv"
+        assert main(["exact", star_file, "--out", str(truth)]) == 0
+        outs = [tmp_path / "with_truth.json", tmp_path / "without.json"]
+        assert main(["sample", star_file, "--k", "2", "--truth", str(truth),
+                     "--format", "json", "--out", str(outs[0])]) == 0
+        assert main(["sample", star_file, "--k", "2",
+                     "--format", "json", "--out", str(outs[1])]) == 0
+        assert json.loads(outs[0].read_text())["run"]["rel_l1"] is not None
+        assert json.loads(outs[1].read_text())["run"]["rel_l1"] is None
+
+    def test_error_exits_leave_later_calls_as_in_a_fresh_process(
+            self, star_file, tmp_path, capsys):
+        argv = ["exact", star_file, "--algorithm", "brandes", "--format", "json"]
+        fresh = tmp_path / "fresh.json"
+        src = str(Path(peelbc.cli.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-m", "peelbc.cli", *argv, "--out", str(fresh)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+        assert main([*argv, "--threads", "0"]) == 1
+        assert "--threads must be at least 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--no-such-flag"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit):
+            main(["sample", star_file])  # --k is required
+        out = tmp_path / "after.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_list_defaults_come_back_unchanged(self, monkeypatch, tmp_path):
+        seen = []
+
+        def suite(args):
+            seen.append((list(args.v1_grid), list(args.k_grid)))
+            # Extends a list default in place; rebinds a tuple on args only.
+            args.v1_grid += (1,)
+            args.k_grid += (1,)
+            return 0
+
+        monkeypatch.setattr(peelbc.cli, "bench_synth_growth", suite)
+        monkeypatch.setattr(peelbc.cli, "bench_pivot_sweep", suite)
+        out = str(tmp_path)
+        defaults = (list(DEFAULT_V1_GRID), list(DEFAULT_K_GRID))
+        assert main(["bench", "--suite", "synth-growth", "--out", out]) == 0
+        assert main(["bench", "--suite", "pivot-sweep", DOLPHINS, "--out", out,
+                     "--v1-grid", "7", "--k-grid", "3"]) == 0
+        assert main(["bench", "--suite", "pivot-sweep", DOLPHINS, "--out", out]) == 0
+        assert seen == [defaults, ([7], [3]), defaults]

@@ -8,6 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import peelbc.exact
 from peelbc import (
     Graph,
     bc_one_round_mem,
@@ -25,9 +26,10 @@ from peelbc.exact import (
     _dependency_totals,
     accumulate_chunked,
     run_chunked,
+    source_chunks,
 )
 
-from conftest import corpus_graph, er_with_exact_pendants
+from conftest import corpus_graph, er_with_exact_pendants, path_graph
 
 
 def enumeration_bc(g: Graph) -> list[float]:
@@ -203,6 +205,26 @@ class TestBrandesExact:
         assert parallel == pytest.approx(serial, abs=1e-12)
         assert brandes_exact(g, threads=2).bc == parallel  # same-settings determinism
 
+    def test_threads_past_sources_fork_no_empty_chunk(self, monkeypatch):
+        # 4 sources times 3 edges split into 8 chunks of work units: only
+        # the chunks at units 0, 3, 6 and 9 start a source.
+        g = path_graph(4)
+        serial = brandes_exact(g, threads=1).bc
+        monkeypatch.setattr(peelbc.exact, "FORK_MIN_WORK", 0)
+        ctx = multiprocessing.get_context("fork")
+        started = []
+
+        class CountedProcess(ctx.Process):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(ctx, "Process", CountedProcess)
+        with time_limit(30):
+            assert brandes_exact(g, threads=8).bc == serial
+        assert len(started) == 3  # chunk 0 runs in the caller
+        assert multiprocessing.active_children() == []
+
 
 class TestOracle:
     def test_sigma_examples(self):
@@ -324,7 +346,7 @@ def _chunk_zero_raises(lo, hi):
 class TestRunChunked:
     def test_chunks_come_back_in_order(self):
         with time_limit(30):
-            parts = run_chunked(_chunk_bounds, (), 10, 3)
+            parts = run_chunked(_chunk_bounds, (), source_chunks(10, 3))
         assert [p[:2] for p in parts] == [(0, 3), (3, 7), (7, 10)]
         assert parts[0][2] == os.getpid()  # chunk 0 runs in the caller
         assert len({p[2] for p in parts}) == 3
@@ -337,5 +359,5 @@ class TestRunChunked:
     ])
     def test_failed_chunk_raises_and_leaves_no_process(self, worker, error, match):
         with time_limit(20), pytest.raises(error, match=match):
-            run_chunked(worker, (), 2, 2)
+            run_chunked(worker, (), [(0, 1), (1, 2)])
         assert multiprocessing.active_children() == []

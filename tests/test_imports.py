@@ -1,6 +1,7 @@
-"""numpy stays off every scoring path: only the oracle loads it.
+"""numpy and multiprocessing stay off every scoring path: only the
+oracle loads numpy, and only a call that forks loads multiprocessing.
 
-Runs in a fresh interpreter, since the test session itself has numpy
+Runs in a fresh interpreter, since the test session itself has both
 loaded long before any test starts.
 """
 
@@ -22,7 +23,13 @@ from peelbc import fixture_path
 
 out_dir = sys.argv[1]
 dolphins = str(fixture_path("soc-dolphins"))
-report = {"after_import": "numpy" in sys.modules}
+
+
+def loaded():
+    return {name: name in sys.modules for name in ("numpy", "multiprocessing")}
+
+
+report = {"after_import": loaded()}
 
 
 def scores(name, *argv):
@@ -38,7 +45,7 @@ scores("peel1", "exact", "--algorithm", "peel1", "--threads", "1")
 two_core = scores("2core-recurrence", "exact", "--algorithm", "2core-recurrence")
 scores("peeled", "sample", "--method", "peeled", "--k", "10")
 scores("baseline", "sample", "--method", "baseline", "--k", "10")
-report["after_scoring"] = "numpy" in sys.modules
+report["after_scoring"] = loaded()
 
 oracle = scores("oracle", "exact", "--algorithm", "oracle")
 report["after_oracles"] = "numpy" in sys.modules
@@ -58,8 +65,9 @@ def test_scoring_leaves_numpy_unloaded(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert not report["after_import"]
-    assert not report["after_scoring"]
+    assert report["after_import"] == {"numpy": False, "multiprocessing": False}
+    # soc-dolphins is below FORK_MIN_WORK, so no call forks.
+    assert report["after_scoring"] == {"numpy": False, "multiprocessing": False}
     assert report["after_oracles"]  # loaded on demand by the oracle
     for name, diff in report["max_diff"].items():
         assert diff <= 1e-9, name

@@ -7,10 +7,14 @@ Runs ``perfbench/run.py --workload all --trace 0`` once, then
 ``--trace 1`` once per workload, and stores each run's summary line (the
 JSON object it prints last) and its report lines, together with the
 machine and source metadata: CPU count and model, Python and numpy
-versions, the checked-out commit, whether the files under ``src/``
-differ from it, and a sha256 over them.  Every run uses seed 0 and
-BENCHMARK.json's ``run_seconds``, so later snapshots diff against the
-latest committed one under the same settings.
+versions, whether bytecode caching is off (``sys.flags.dont_write_bytecode``;
+every run inherits ``PYTHONDONTWRITEBYTECODE``, and with caching off its
+fresh interpreters compile peelbc inside ``setup_s``), the checked-out
+commit, whether the files under ``src/`` differ from it, and a sha256
+over them.  Every run uses seed 0 and BENCHMARK.json's ``run_seconds``,
+so later snapshots diff against the latest committed one under the same
+settings; set-up times compare only between snapshots whose bytecode
+flag matches.
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ def main(argv=None) -> int:
             "cpu_model": cpu_model(),
             "python": platform.python_version(),
             "numpy": version("numpy"),
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
             "commit": git("rev-parse", "HEAD"),
             "sources_differ_from_commit": bool(git("status", "--porcelain", "--", "src")),
             "src_sha256": src_sha256(),
