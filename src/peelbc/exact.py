@@ -8,7 +8,8 @@ path-count matrices and serves as ground truth for the rest of the
 package; it is deliberately independent of the kernel it checks.  The
 oracles are the only code here that uses numpy, and they import it when
 called, so scoring through the kernel never loads it.  multiprocessing
-likewise loads only when run_chunked forks.
+likewise loads only when run_chunked forks, and array only when the
+kernel is given pendant anchors.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from __future__ import annotations
 import math
 import operator
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -154,7 +157,21 @@ def sssp_bfs(g: Graph, s: int) -> SsspTree:
                     first_pred=first_pred, adj=adj)
 
 
-def accumulate(g: Graph, sources, target=None, weight=None) -> list[float]:
+def pendant_anchors(g: Graph) -> list[int] | None:
+    """The kernel's anchor list for g, or None when it has no entry.
+
+    anchor[s] is the one neighbour of s when s has degree 1 and that
+    neighbour has more; -1 otherwise (so both nodes of a two-node
+    component keep their own BFS).
+    """
+    adj = g.adj
+    anchor = [nbrs[0] if len(nbrs) == 1 and len(adj[nbrs[0]]) > 1 else -1
+              for nbrs in adj]
+    return anchor if max(anchor, default=-1) >= 0 else None
+
+
+def accumulate(g: Graph, sources, target=None, weight=None,
+               anchor=None) -> list[float]:
     """Weighted dependency totals: the sum over s in sources of
     weight[s] * psi_s, with psi_s[s] left out.
 
@@ -175,6 +192,23 @@ def accumulate(g: Graph, sources, target=None, weight=None) -> list[float]:
     and passes target / sigma up.  Elsewhere, with target and weight both
     None, it adds 1.0 + psi and psi directly.  Both give the same floats
     as the general form, since x + 0.0 == x and x * 1 == x.
+
+    anchor (see pendant_anchors) lets a pendant source reuse its
+    neighbour's row.  When anchor[s] = p >= 0, s's only neighbour is p
+    and p has others, so a BFS from s is p's BFS one level deeper: the
+    same path counts, and p's levels from 1 on without s, in the same
+    order.  s's turn therefore runs the body from p with s's weight,
+    which adds ws * psi_p[w] to every other node w, the term a BFS from
+    s adds (psi_p[s] is 0.0, and x + 0.0 == x), and then adds ws * x to
+    p, where x sums target[c] + psi_p[c] over p's level 1 without s in
+    reverse visit order, as a BFS from s sums it into psi_s[p].  When p's
+    row serves a later source of the same call too (p itself or another
+    of its pendants), it is kept, with entry p zeroed, as an array('d')
+    beside p's reversed level 1, and that source adds ws * row to the
+    totals elementwise instead of running a BFS; the row goes once its
+    last such source has run.  So every total gets the same terms in the
+    same order as without anchors, bit for bit, and the call holds one
+    row per anchor with a pending use on top of the per-source lists.
     """
     n = g.n
     adj = g.adj
@@ -182,59 +216,88 @@ def accumulate(g: Graph, sources, target=None, weight=None) -> list[float]:
     if target is None:
         target = [1.0] * n
     acc = [0.0] * n
-    for s in sources:
-        tree = sssp_bfs(g, s)
-        dist = tree.dist
-        sigma = tree.sigma
-        levels = tree.levels
-        first_pred = tree.first_pred
-        top = len(levels) - 1
-        if not top:  # the source reaches nothing
-            continue
-        psi = [0.0] * n
+    if anchor is None:
+        runs = sources
+    else:
+        from array import array  # loaded only when rows can be kept
+        sources = list(sources)
+        runs = [s if anchor[s] < 0 else anchor[s] for s in sources]
+        pending = Counter(runs)
+    rows = {}  # anchor: (its row, entry p zeroed; its level 1 reversed)
+    for s, p in zip(sources, runs):
         ws = 1.0 if weight is None else weight[s]
-        up = top - 1
-        for w in reversed(levels[top]):
-            sw = sigma[w]
-            coeff = target[w] / sw
-            v = first_pred[w]
-            sv = sigma[v]
-            if sv == sw:  # one DAG parent
-                psi[v] += sv * coeff
-            else:
-                for v in adj[w]:
-                    if dist[v] == up:
-                        psi[v] += sigma[v] * coeff
-        # levels[0] holds the source, which depends on nothing
-        for up in range(top - 2, -1, -1):
-            if unit:
-                for w in reversed(levels[up + 1]):
-                    pw = psi[w]
-                    sw = sigma[w]
-                    coeff = (1.0 + pw) / sw
-                    v = first_pred[w]
-                    sv = sigma[v]
-                    if sv == sw:  # one DAG parent
-                        psi[v] += sv * coeff
-                    else:
-                        for v in adj[w]:
-                            if dist[v] == up:
-                                psi[v] += sigma[v] * coeff
-                    acc[w] += pw
-            else:
-                for w in reversed(levels[up + 1]):
-                    pw = psi[w]
-                    sw = sigma[w]
-                    coeff = (target[w] + pw) / sw
-                    v = first_pred[w]
-                    sv = sigma[v]
-                    if sv == sw:  # one DAG parent
-                        psi[v] += sv * coeff
-                    else:
-                        for v in adj[w]:
-                            if dist[v] == up:
-                                psi[v] += sigma[v] * coeff
-                    acc[w] += ws * pw
+        cached = rows.get(p)
+        if cached is None:
+            tree = sssp_bfs(g, p)
+            dist = tree.dist
+            sigma = tree.sigma
+            levels = tree.levels
+            first_pred = tree.first_pred
+            top = len(levels) - 1
+            if not top:  # the source reaches nothing
+                continue
+            psi = [0.0] * n
+            up = top - 1
+            for w in reversed(levels[top]):
+                sw = sigma[w]
+                coeff = target[w] / sw
+                v = first_pred[w]
+                sv = sigma[v]
+                if sv == sw:  # one DAG parent
+                    psi[v] += sv * coeff
+                else:
+                    for v in adj[w]:
+                        if dist[v] == up:
+                            psi[v] += sigma[v] * coeff
+            # levels[0] holds the source, which depends on nothing
+            for up in range(top - 2, -1, -1):
+                if unit:
+                    for w in reversed(levels[up + 1]):
+                        pw = psi[w]
+                        sw = sigma[w]
+                        coeff = (1.0 + pw) / sw
+                        v = first_pred[w]
+                        sv = sigma[v]
+                        if sv == sw:  # one DAG parent
+                            psi[v] += sv * coeff
+                        else:
+                            for v in adj[w]:
+                                if dist[v] == up:
+                                    psi[v] += sigma[v] * coeff
+                        acc[w] += pw
+                else:
+                    for w in reversed(levels[up + 1]):
+                        pw = psi[w]
+                        sw = sigma[w]
+                        coeff = (target[w] + pw) / sw
+                        v = first_pred[w]
+                        sv = sigma[v]
+                        if sv == sw:  # one DAG parent
+                            psi[v] += sv * coeff
+                        else:
+                            for v in adj[w]:
+                                if dist[v] == up:
+                                    psi[v] += sigma[v] * coeff
+                        acc[w] += ws * pw
+            if anchor is None:
+                continue
+            near = levels[1][::-1]
+            if pending[p] > 1:
+                row = array("d", psi)
+                row[p] = 0.0
+                rows[p] = row, near
+        else:
+            psi, near = cached
+            acc = list(map(operator.add, acc, map(operator.mul, repeat(ws), psi)))
+        if s != p:  # what a BFS from s adds into psi_s[p]
+            x = 0.0
+            for c in near:
+                if c != s:
+                    x += target[c] + psi[c]
+            acc[p] += ws * x
+        pending[p] -= 1
+        if not pending[p]:
+            rows.pop(p, None)
     return acc
 
 
@@ -324,9 +387,9 @@ def run_chunked(worker, common_args: tuple, chunks: list[tuple[int, int]]) -> li
 FORK_MIN_WORK = 100_000
 
 
-def _accumulate_chunk(g: Graph, sources, target, weight,
+def _accumulate_chunk(g: Graph, sources, target, weight, anchor,
                       lo: int, hi: int) -> list[float]:
-    return accumulate(g, sources[lo:hi], target, weight)
+    return accumulate(g, sources[lo:hi], target, weight, anchor)
 
 
 def _group_ranges(groups: list[tuple[list[int], int]], lo: int, hi: int):
@@ -347,34 +410,37 @@ def _group_ranges(groups: list[tuple[list[int], int]], lo: int, hi: int):
 
 
 def _components_chunk(g: Graph, groups: list[tuple[list[int], int]], target,
-                      weight, lo: int, hi: int) -> list[float]:
+                      weight, anchor, lo: int, hi: int) -> list[float]:
     """The kernel over the sources whose work units start in lo..hi-1
     (see _group_ranges).
 
     Each group runs on a compact subgraph of its own, built when
     reached; renumbering a whole component in ascending order keeps
     every adjacency list sorted and every BFS visit order.  A connected
-    g is its own compact subgraph.
+    g is its own compact subgraph.  An anchor is a neighbour, so it
+    lies in its pendant's component and is renumbered with it.
     """
     adj = g.adj
     pos = [0] * g.n
     acc = [0.0] * g.n
     for nodes, a, b in _group_ranges(groups, lo, hi):
         if len(nodes) == g.n:
-            return accumulate(g, range(a, b), target, weight)
+            return accumulate(g, range(a, b), target, weight, anchor)
         for i, v in enumerate(nodes):
             pos[v] = i
         sub = Graph([[pos[w] for w in adj[v]] for v in nodes], nodes)
         part = accumulate(sub, range(a, b),
                           None if target is None else [target[v] for v in nodes],
-                          None if weight is None else [weight[v] for v in nodes])
+                          None if weight is None else [weight[v] for v in nodes],
+                          None if anchor is None else
+                          [-1 if anchor[v] < 0 else pos[anchor[v]] for v in nodes])
         for v, x in zip(nodes, part):
             acc[v] = x
     return acc
 
 
 def accumulate_chunked(g: Graph, sources=None, target=None, weight=None,
-                       threads: int = 1) -> list[float]:
+                       threads: int = 1, anchor=None) -> list[float]:
     """accumulate() over run_chunked source chunks, summed in chunk order.
 
     `sources` None means every node of g.  The kernel then runs once per
@@ -387,6 +453,12 @@ def accumulate_chunked(g: Graph, sources=None, target=None, weight=None,
     component) rather than by count, and a chunk in which no source
     starts is not run.  Other source lists run on g as they are, split
     by count.
+
+    `anchor` goes to every chunk's accumulate (remapped into each
+    compact component), and chunk bounds do not depend on it.  A
+    pendant shares a row only with sources of its own chunk: one whose
+    anchor's other sources all run in another chunk still runs one BFS
+    there, from its anchor.  Either way no bit moves.
 
     One chunk's partial is the result as it is; several are added
     elementwise in chunk order.  The partials are non-negative, so this
@@ -408,11 +480,12 @@ def accumulate_chunked(g: Graph, sources=None, target=None, weight=None,
         groups = [(nodes, sum(map(len, map(adj.__getitem__, nodes))) // 2)
                   for nodes in members if len(nodes) > 1]
         work = sum(len(nodes) * edges for nodes, edges in groups)
-        worker, args, n_items = _components_chunk, (g, groups, target, weight), work
+        worker, args, n_items = (_components_chunk, (g, groups, target, weight, anchor),
+                                 work)
     else:
         work = len(sources) * g.m
-        worker, args, n_items = (_accumulate_chunk, (g, sources, target, weight),
-                                 len(sources))
+        worker, args, n_items = (_accumulate_chunk,
+                                 (g, sources, target, weight, anchor), len(sources))
     if work < FORK_MIN_WORK:
         threads = 1
     chunks = source_chunks(n_items, threads)
@@ -432,7 +505,9 @@ def brandes_exact(g: Graph, threads: int = 1) -> BcResult:
 
     Scores are normalized by (n-1)(n-2) over ordered pairs; graphs with
     n <= 2 score 0 everywhere.  Per-source contributions are reduced in
-    ascending source order, so repeated runs are bit-identical.
+    ascending source order, so repeated runs are bit-identical.  It runs
+    one BFS per source and passes no anchors: it is the baseline that
+    the peeled algorithms' speed-up is measured against.
     """
     start = perf_counter()
     n = g.n

@@ -20,7 +20,8 @@ import random
 from dataclasses import dataclass
 from time import perf_counter
 
-from .exact import BcResult, _normalizer, accumulate, accumulate_chunked
+from .exact import (BcResult, _normalizer, accumulate, accumulate_chunked,
+                    pendant_anchors)
 from .graph import Graph, PeelDecomposition, peel
 
 
@@ -53,6 +54,11 @@ class _Peeled:
     g, of v's component (set where the closed form needs it).  inner
     lists the removed nodes with T > 0.  decomp is the full peel, handed
     on in BcResult.peeled so the record need not peel.
+
+    After one round, sub can keep degree-1 nodes: a kept node whose
+    other neighbours were all removed.  The exact runs hand them to the
+    kernel as anchored sources (exact.pendant_anchors), so each reuses
+    its neighbour's row; the 2-core has none.
     """
 
     kept: list[int]
@@ -142,14 +148,18 @@ def _peeled_scores(g: Graph, one: _Peeled, sources, scale: float | None,
     the sum rescaled by `scale` when sources are sampled, then the
     closed-form terms.  Removed nodes with nothing below them score 0.
 
-    `sources` None runs every kept node, component by component.  When
+    `sources` None runs every kept node, component by component, with
+    sub's pendant anchors; sampled sources run without them, since a
+    pendant pivot would only trade its own BFS for its anchor's.  When
     no node has anything below it, every 1 + T is 1.0 and the kernel
     takes its unit branch, which gives the same floats."""
     bc = [0.0] * g.n
     if g.n > 2:
         weight = one.weight if any(one.T) else None
         acc = accumulate_chunked(one.sub, sources, target=weight, weight=weight,
-                                 threads=threads)
+                                 threads=threads,
+                                 anchor=None if sources is not None
+                                 else pendant_anchors(one.sub))
         if scale is not None:
             acc = [x * scale for x in acc]
         _add_pendant_terms(bc, one, acc)
@@ -177,7 +187,7 @@ def bc_one_round_mem(
     seed: int | None = None,
     threads: int = 1,
 ) -> BcResult:
-    """Betweenness after one peeling round, using per-source buffers only.
+    """Betweenness after one peeling round.
 
     Exact when k is None or k >= the survivor count; otherwise an
     estimate from k pivots rescaled by survivors/k.  Each survivor's
@@ -187,6 +197,14 @@ def bc_one_round_mem(
     sampling error; removed degree-1 nodes score 0.  On a graph with
     no degree-1 nodes this reduces bit-for-bit to the plain exact
     algorithm.
+
+    The peeled graph can still have degree-1 nodes (kept nodes that
+    lost all but one neighbour to the round).  The exact run lets each
+    reuse its neighbour's dependency row (see exact.accumulate's
+    anchor), which saves that many BFS runs and moves no bit.  Memory
+    is the kernel's per-source lists plus one array('d') row, of the
+    component's size, per neighbour whose row a later source of the
+    same chunk still needs.  Sampled runs keep one BFS per pivot.
     """
     start = perf_counter()
     one = _one_round(g)

@@ -11,6 +11,8 @@ stay within MAX_ULPS of it per score.
 `single_pass` is the exact algorithms as they stood before they ran the
 kernel once per connected component: one kernel pass over the whole
 graph with every node a source.  Splitting by component moves no bit.
+Neither does letting pendant sources reuse their anchor's row: the
+kernel with anchors must give the bits of the kernel without them.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from collections import deque
 
 import pytest
 
+import peelbc.exact
 from peelbc import (
     Graph,
     SampleConfig,
@@ -35,7 +38,7 @@ from peelbc import (
     source_dependency,
     sssp_bfs,
 )
-from peelbc.exact import _normalizer
+from peelbc.exact import _normalizer, accumulate_chunked, pendant_anchors
 from peelbc.peeling import _add_pendant_terms, _full_peel, _one_round, _pick_sources
 
 from conftest import corpus, diamond_chain
@@ -359,3 +362,103 @@ def test_per_component_runs_match_single_pass(label, g, request):
 def test_brandes_threads_agree_on_rt_obama(rt_obama_brandes):
     parallel = brandes_exact(load_fixture("rt_obama"), threads=2).bc
     assert parallel == pytest.approx(rt_obama_brandes, abs=1e-12)
+
+
+def _anchor_orders(anchor: list[int], seed: int) -> dict[str, list[int]]:
+    """Source orders for the anchored kernel: ascending; shuffled with
+    every pendant before its anchor, and after it; and without any
+    anchor among the sources."""
+    rng = random.Random(seed)
+    anchors = {p for p in anchor if p >= 0}
+    pendants = [s for s, p in enumerate(anchor) if p >= 0]
+    others = [s for s, p in enumerate(anchor) if p < 0]
+    rng.shuffle(pendants)
+    rng.shuffle(others)
+    return {
+        "ascending": list(range(len(anchor))),
+        "pendants-first": pendants + others,
+        "pendants-last": others + pendants,
+        "no-anchors": [s for s in others + pendants if s not in anchors],
+    }
+
+
+def test_pendant_anchors():
+    # a path 0-1-2-3 plus a two-node component 4-5 and an isolated node 6
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5)])
+    assert pendant_anchors(g) == [1, -1, -1, 2, -1, -1, -1]
+    assert pendant_anchors(cycle(5)) is None
+    assert pendant_anchors(Graph.from_edges(2, [(0, 1)])) is None
+
+
+def test_anchored_kernel_keeps_every_bit(graphs):
+    """accumulate with anchors gives the bits of accumulate without them
+    on every one-round kept subgraph with a pendant, unit and weighted,
+    whatever the order of pendants and anchors among the sources."""
+    anchored = 0
+    for seed, g in enumerate(graphs + [g for _, g in SPLIT_CASES]):
+        one = _one_round(g)
+        sub = one.sub
+        anchor = pendant_anchors(sub)
+        if anchor is None:
+            continue
+        anchored += 1
+        for order, sources in _anchor_orders(anchor, seed).items():
+            for weight in (None, one.weight):
+                got = accumulate(sub, sources, weight, weight, anchor)
+                assert got == accumulate(sub, sources, weight, weight), (seed, order)
+    assert anchored >= 100
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_anchored_chunks_keep_every_bit(threads, monkeypatch):
+    """Forked chunks, each with its own row cache, give the bits of the
+    same chunks without anchors, over components and over a source list."""
+    monkeypatch.setattr(peelbc.exact, "FORK_MIN_WORK", 0)
+    for seed, (label, g) in enumerate(SPLIT_CASES):
+        one = _one_round(g)
+        sub = one.sub
+        anchor = pendant_anchors(sub)
+        if anchor is None:
+            continue
+        sources = _anchor_orders(anchor, seed)["pendants-last"]
+        for src in (None, sources):
+            for weight in (None, one.weight):
+                got = accumulate_chunked(sub, src, weight, weight, threads=threads,
+                                         anchor=anchor)
+                want = accumulate_chunked(sub, src, weight, weight, threads=threads)
+                assert got == want, label
+
+
+@pytest.fixture
+def bfs_calls(monkeypatch) -> list[int]:
+    """Records the source of every sssp_bfs call the kernel makes (in
+    the ids of the graph it ran on)."""
+    calls = []
+
+    def spy(g, s):
+        calls.append(s)
+        return sssp_bfs(g, s)
+
+    monkeypatch.setattr(peelbc.exact, "sssp_bfs", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name, sources, pendants", [("rt_obama", 490, 140),
+                                                     ("ca-CSphd", 423, 273)])
+def test_peel1_pendants_skip_their_bfs(name, sources, pendants, bfs_calls):
+    """Of the kept nodes the kernel runs (those with a kept neighbour),
+    each pendant reuses its anchor's BFS."""
+    g = load_fixture(name)
+    sub = _one_round(g).sub
+    assert sum(1 for nbrs in sub.adj if nbrs) == sources
+    assert sum(p >= 0 for p in pendant_anchors(sub)) == pendants
+    bc_one_round_mem(g, threads=1)
+    assert len(bfs_calls) == sources - pendants
+
+
+def test_brandes_runs_one_bfs_per_source(bfs_calls):
+    """The baseline takes no shortcut, so peeling's measured speed-up
+    keeps measuring peeling."""
+    g = load_fixture("rt_obama")
+    brandes_exact(g, threads=1)
+    assert len(bfs_calls) == g.n == 3212

@@ -1,0 +1,63 @@
+"""Pinned score bytes: the sha256 of the JSON score file of each exact
+algorithm (--threads 1) and each sampler (--k 10 --seed 0) on three
+bundled fixtures.
+
+Speed work on the kernel (component passes, anchor reuse) must not move
+a byte of these files.  A change that moves bytes on purpose (a new
+reduction order, chunk bounds rebalanced by work; ROADMAP items 2 and 5)
+updates the digests here and says so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from peelbc import fixture_path
+from peelbc.cli import main
+
+RUNS = {
+    "brandes": ["exact", "--algorithm", "brandes", "--threads", "1"],
+    "peel1": ["exact", "--algorithm", "peel1", "--threads", "1"],
+    "2core-recurrence": ["exact", "--algorithm", "2core-recurrence", "--threads", "1"],
+    "sample-peeled": ["sample", "--method", "peeled", "--k", "10", "--seed", "0"],
+    "sample-baseline": ["sample", "--method", "baseline", "--k", "10", "--seed", "0"],
+}
+
+DIGESTS = {
+    ("rt_obama", "brandes"): "f7840e28c5edd13b5c20446d7865da30d14d0252692bf9e77a54df1ca678ab3e",
+    ("rt_obama", "peel1"): "c2f233bba914f2b16e72e1248f3b2f82541d7ccafa79d62f5d9349c26254d004",
+    ("rt_obama", "2core-recurrence"):
+        "96b548445d2d14ff253cbe95e8caebd1cbfd615c86076550266b817272160d69",
+    ("rt_obama", "sample-peeled"):
+        "1de0e85cbec229819c390e926f305487d557cd728dd9a3593ce8ba07cf15d829",
+    ("rt_obama", "sample-baseline"):
+        "f489fe802e53dbc4bd2fece3a4688af26dc78e4bb809bd6716e5b80cf42c6307",
+    ("ca-CSphd", "brandes"): "23be6383a38c5a12d241bcbfe05363f99ceace4777b86d3acd842931fc087818",
+    ("ca-CSphd", "peel1"): "2ddb13b0ad03c3d9ee7e41b99b5a8b5343968b213f0eba7cea9a066aeb58c9d7",
+    ("ca-CSphd", "2core-recurrence"):
+        "dbd5779321eaf108f217f5290e5bb6ecd131acfdfbd5d9203f9326323175b020",
+    ("ca-CSphd", "sample-peeled"):
+        "750ec7bd11ad9f95c1ecade05d6bde789c17b44b3725ac7c3dd3b94543d8b023",
+    ("ca-CSphd", "sample-baseline"):
+        "69faae3f97e166c80104910893547c7da4dc0e28fb75b011bd3771495887678f",
+    ("soc-dolphins", "brandes"):
+        "37e37eaef18d2f1de147268c7beba5192dbfe7b5c9e242a48235ca65cf95cbd0",
+    ("soc-dolphins", "peel1"): "5bc000518e90ee34641b076c60affce2ee29add7b505a22ee1d849db4a07df09",
+    ("soc-dolphins", "2core-recurrence"):
+        "180023c659a01250a7154f077ef1b50ced9a6b22d72806dbefdd01eeffbbdd1f",
+    ("soc-dolphins", "sample-peeled"):
+        "0a9e3f30c90ea0663ab30eef748f23dd40a6f66c29ec68d2173e3e6c71cb0665",
+    ("soc-dolphins", "sample-baseline"):
+        "20c1d7a13a55f1324bdb2404733aa23c37ce73cfbc0263dd99b1075c46100845",
+}
+
+
+@pytest.mark.parametrize("fixture, run", list(DIGESTS), ids="/".join)
+def test_score_file_digest(fixture, run, tmp_path):
+    out = tmp_path / "scores.json"
+    command, *flags = RUNS[run]
+    assert main([command, str(fixture_path(fixture)), *flags,
+                 "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[fixture, run]
