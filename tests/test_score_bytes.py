@@ -1,6 +1,7 @@
-"""Pinned score bytes: the sha256 of the JSON score file of each exact
-algorithm (--threads 1) and each sampler (--k 10 --seed 0) on three
-bundled fixtures.
+"""Pinned output bytes: the sha256 of the JSON score file of each exact
+algorithm (--threads 1) and each sampler (--k 10 --seed 0, the peeled
+one also with --exact-y-sources), and of the stats table in JSON and
+CSV, on three bundled fixtures.
 
 Speed work on the kernel (component passes, anchor reuse) must not move
 a byte of these files.  A change that moves bytes on purpose (a new
@@ -23,6 +24,10 @@ RUNS = {
     "2core-recurrence": ["exact", "--algorithm", "2core-recurrence", "--threads", "1"],
     "sample-peeled": ["sample", "--method", "peeled", "--k", "10", "--seed", "0"],
     "sample-baseline": ["sample", "--method", "baseline", "--k", "10", "--seed", "0"],
+    "sample-peeled-ysplit": ["sample", "--method", "peeled", "--exact-y-sources",
+                             "--k", "10", "--seed", "0"],
+    "stats-json": ["stats"],
+    "stats-csv": ["stats", "--format", "csv"],
 }
 
 DIGESTS = {
@@ -34,6 +39,12 @@ DIGESTS = {
         "1de0e85cbec229819c390e926f305487d557cd728dd9a3593ce8ba07cf15d829",
     ("rt_obama", "sample-baseline"):
         "f489fe802e53dbc4bd2fece3a4688af26dc78e4bb809bd6716e5b80cf42c6307",
+    ("rt_obama", "sample-peeled-ysplit"):
+        "63f73b68faeaace7d77e86312764b18157f7c792800e26fd29b8991d4acc588f",
+    ("rt_obama", "stats-json"):
+        "8de0e8a7c9c792a9eaa4d19a86340f174124e322737c60fd0eb139ab62012c66",
+    ("rt_obama", "stats-csv"):
+        "669930b71949ac5606f24140267bb3ce72ad5b68d22b27076fa50e7090312cfa",
     ("ca-CSphd", "brandes"): "23be6383a38c5a12d241bcbfe05363f99ceace4777b86d3acd842931fc087818",
     ("ca-CSphd", "peel1"): "2ddb13b0ad03c3d9ee7e41b99b5a8b5343968b213f0eba7cea9a066aeb58c9d7",
     ("ca-CSphd", "2core-recurrence"):
@@ -42,6 +53,12 @@ DIGESTS = {
         "750ec7bd11ad9f95c1ecade05d6bde789c17b44b3725ac7c3dd3b94543d8b023",
     ("ca-CSphd", "sample-baseline"):
         "69faae3f97e166c80104910893547c7da4dc0e28fb75b011bd3771495887678f",
+    ("ca-CSphd", "sample-peeled-ysplit"):
+        "a32d234ebff94ecb2bebb81dbc2478c6c6cdf0a7c3e187ed3194b4288780eb80",
+    ("ca-CSphd", "stats-json"):
+        "1a48efc070879e2a9e5db23341679e84eef3c08a71caa7a24e3cf8125ad90215",
+    ("ca-CSphd", "stats-csv"):
+        "438f382f71a8cc712f7323a80695616ff62fa643b3d5e2647260d0c7d759a927",
     ("soc-dolphins", "brandes"):
         "37e37eaef18d2f1de147268c7beba5192dbfe7b5c9e242a48235ca65cf95cbd0",
     ("soc-dolphins", "peel1"): "5bc000518e90ee34641b076c60affce2ee29add7b505a22ee1d849db4a07df09",
@@ -51,13 +68,21 @@ DIGESTS = {
         "0a9e3f30c90ea0663ab30eef748f23dd40a6f66c29ec68d2173e3e6c71cb0665",
     ("soc-dolphins", "sample-baseline"):
         "20c1d7a13a55f1324bdb2404733aa23c37ce73cfbc0263dd99b1075c46100845",
+    ("soc-dolphins", "sample-peeled-ysplit"):
+        "6473b7395c3f0384cf7a9ea32cd39574c287f653a5c06211a3cf185a064ea886",
+    ("soc-dolphins", "stats-json"):
+        "1a5a56997fc04b1b4f13d5301ccd16a40fe1bab379592ee7993d46a19942563e",
+    ("soc-dolphins", "stats-csv"):
+        "ab5415c08940d03f02cd8b71bceee0faf406ca1774246404242051b173e2b175",
 }
 
 
 @pytest.mark.parametrize("fixture, run", list(DIGESTS), ids="/".join)
 def test_score_file_digest(fixture, run, tmp_path):
-    out = tmp_path / "scores.json"
+    out = tmp_path / "out"
     command, *flags = RUNS[run]
+    if "--format" not in flags:
+        flags += ["--format", "json"]
     assert main([command, str(fixture_path(fixture)), *flags,
-                 "--format", "json", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[fixture, run]
