@@ -262,13 +262,17 @@ def cmd_exact(args) -> int:
     return 0
 
 
+def _estimate(method: str, g: Graph, k: int, seed: int,
+              exact_y_sources: bool = False) -> BcResult:
+    cfg = SampleConfig(k=k, seed=seed)
+    if method == "baseline":
+        return sample_bc_baseline(g, cfg)
+    return sample_bc_peeled(g, cfg, exact_y_sources=exact_y_sources)
+
+
 def cmd_sample(args) -> int:
     g = read_graph(args.input, fmt=args.input_format)
-    cfg = SampleConfig(k=args.k, seed=args.seed)
-    if args.method == "baseline":
-        result = sample_bc_baseline(g, cfg)
-    else:
-        result = sample_bc_peeled(g, cfg, exact_y_sources=args.exact_y_sources)
+    result = _estimate(args.method, g, args.k, args.seed, args.exact_y_sources)
     _note(f"{result.algorithm}: {result.elapsed:.3f}s k={args.k} seed={args.seed}")
     rel = None
     if args.truth:
@@ -290,21 +294,8 @@ _STATS_FIELDS = (
 def cmd_stats(args) -> int:
     g = read_graph(args.input, fmt=args.input_format)
     report = peel_diagnostics(g)
-    values = {
-        "dataset": Path(args.input).name,
-        "n": report.n,
-        "m": report.m,
-        "n_tilde": report.n_tilde,
-        "m_tilde": report.m_tilde,
-        "v1_round0": report.v1_round0,
-        "survivor_fraction": report.survivor_fraction,
-        "two_core_size": report.two_core_size,
-        "two_core_fraction": report.two_core_fraction,
-        "istar": report.istar,
-        "y_size": report.y_size,
-        "delta1": report.delta1,
-        "round_fractions": report.round_fractions,
-    }
+    values = {"dataset": Path(args.input).name,
+              **{name: getattr(report, name) for name in _STATS_FIELDS[1:]}}
     stream, close = _open_out(args.out)
     try:
         if args.format == "csv":
@@ -343,13 +334,6 @@ def _bench_writer(out_dir: Path, name: str):
     out_dir.mkdir(parents=True, exist_ok=True)
     handle = open(out_dir / name, "w", encoding="utf-8", newline="")
     return handle, csv.writer(handle, lineterminator="\n")
-
-
-def _estimate(method: str, g: Graph, k: int, seed: int) -> BcResult:
-    cfg = SampleConfig(k=k, seed=seed)
-    if method == "baseline":
-        return sample_bc_baseline(g, cfg)
-    return sample_bc_peeled(g, cfg)
 
 
 def bench_synth_growth(args) -> int:

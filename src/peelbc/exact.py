@@ -56,9 +56,8 @@ class SsspTree:
     only DAG parent exactly when sigma[w] == sigma[first_pred[w]], since
     a second parent adds at least 1.  order (the reached nodes
     farthest-first, so iterating it pops nodes in nonincreasing
-    distance) and preds[w] (all neighbors of w one hop closer to the
-    source) are derived on first access, since the accumulation kernel
-    walks levels and tests distances instead.
+    distance) is derived on first access, since the accumulation kernel
+    walks levels instead.
     """
 
     source: int
@@ -71,12 +70,6 @@ class SsspTree:
     @cached_property
     def order(self) -> list[int]:
         return [v for level in reversed(self.levels) for v in reversed(level)]
-
-    @cached_property
-    def preds(self) -> list[list[int]]:
-        dist = self.dist
-        return [[v for v in nbrs if dist[v] == d - 1]
-                for nbrs, d in zip(self.adj, dist)]
 
 
 @dataclass

@@ -364,17 +364,14 @@ class PeelDecomposition:
     pendant_anchor: dict[int, int]
 
 
-def peel(g: Graph, max_rounds: int | None = None) -> PeelDecomposition:
+def peel(g: Graph) -> PeelDecomposition:
     """Iteratively remove degree-1 nodes until none remain.
 
     Each round removes every current degree-1 node at once and records
     its unique neighbor at removal time in pendant_anchor (for a
     two-node component, the nodes anchor each other).  Degree-0 nodes
-    are never removed.  `max_rounds` truncates the process; round 0 and
-    the deg1/Y statistics are identical to the full peel's.
+    are never removed.
     """
-    if max_rounds is not None and max_rounds < 0:
-        raise ValueError("max_rounds must be nonnegative")
     n = g.n
     adj = g.adj
     deg = list(map(len, adj))
@@ -387,7 +384,7 @@ def peel(g: Graph, max_rounds: int | None = None) -> PeelDecomposition:
     alive = bytearray([1]) * n
     rounds: list[list[int]] = []
     anchors: dict[int, int] = {}
-    while frontier and (max_rounds is None or len(rounds) < max_rounds):
+    while frontier:
         this_round = sorted([v for v in frontier if deg[v] == 1])
         if not this_round:
             break

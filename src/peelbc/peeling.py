@@ -7,7 +7,9 @@ weighted by 1 + the number of nodes hanging below it, and adds the
 pairs those trees route through each node in closed form.  The
 one-round algorithm (`bc_one_round_mem`) keeps every node of degree
 != 1; the 2-core recurrence (`bc_via_2core_recurrence`) peels until no
-degree-1 node is left, so the kernel runs on the 2-core alone.
+degree-1 node is left, so the kernel runs on the 2-core alone.  The
+peeled sampler (`sampling.sample_bc_peeled`) runs the one-round body
+from pivots drawn among the kept nodes.
 
 All closed-form terms use the size of a node's connected component where
 a connected graph's formulas would use n, so disconnected inputs (where
@@ -16,7 +18,6 @@ unreachable pairs contribute nothing) are handled exactly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -141,85 +142,55 @@ def _add_pendant_terms(bc: list[float], one: _Peeled, acc: list[float]) -> None:
         bc[v] = (t * (2 * comp_size[v] - 2 - t) - Q[v]) / norm
 
 
-def _peeled_scores(g: Graph, one: _Peeled, sources, scale: float | None,
-                   threads: int) -> list[float]:
+def _peeled_scores(g: Graph, one: _Peeled, pivots=None, scale: float = 1.0,
+                   threads: int = 1) -> list[float]:
     """Scores from the set-up: the kernel on the kept subgraph with
     target = weight = 1 + T (psi = delta + zeta in one pass per source),
-    the sum rescaled by `scale` when sources are sampled, then the
-    closed-form terms.  Removed nodes with nothing below them score 0.
+    the sum times `scale`, then the closed-form terms.  Removed nodes
+    with nothing below them score 0.
 
-    `sources` None runs every kept node, component by component, with
-    sub's pendant anchors; sampled sources run without them, since a
-    pendant pivot would only trade its own BFS for its anchor's.  When
-    no node has anything below it, every 1 + T is 1.0 and the kernel
-    takes its unit branch, which gives the same floats."""
+    `pivots` None runs every kept node, component by component, with
+    sub's pendant anchors: the exact scores.  A pivot list (indices into
+    kept) runs without anchors, since a pendant pivot would only trade
+    its own BFS for its anchor's.  When no node has anything below it,
+    every 1 + T is 1.0 and the kernel takes its unit branch, which gives
+    the same floats."""
     bc = [0.0] * g.n
     if g.n > 2:
         weight = one.weight if any(one.T) else None
-        acc = accumulate_chunked(one.sub, sources, target=weight, weight=weight,
+        acc = accumulate_chunked(one.sub, pivots, target=weight, weight=weight,
                                  threads=threads,
-                                 anchor=None if sources is not None
+                                 anchor=None if pivots is not None
                                  else pendant_anchors(one.sub))
-        if scale is not None:
+        if scale != 1.0:
             acc = [x * scale for x in acc]
         _add_pendant_terms(bc, one, acc)
     return bc
 
 
-def _pick_sources(nt: int, k: int | None, seed: int | None):
-    """Source list for the peeled graph: everything, or k pivots.
+def bc_one_round_mem(g: Graph, threads: int = 1) -> BcResult:
+    """Exact betweenness after one peeling round.
 
-    k >= nt (or None) selects the exact branch: all survivors in
-    ascending order, no rescaling.  Otherwise k distinct pivots are
-    drawn uniformly without replacement, deterministically per seed.
-    """
-    if k is not None and k <= 0:
-        raise ValueError(f"pivot count must be positive, got {k}")
-    if k is None or k >= nt:
-        return list(range(nt)), False
-    rng = random.Random(0 if seed is None else seed)
-    return rng.sample(range(nt), k), True
-
-
-def bc_one_round_mem(
-    g: Graph,
-    k: int | None = None,
-    seed: int | None = None,
-    threads: int = 1,
-) -> BcResult:
-    """Betweenness after one peeling round.
-
-    Exact when k is None or k >= the survivor count; otherwise an
-    estimate from k pivots rescaled by survivors/k.  Each survivor's
-    score combines the weighted accumulation over the peeled graph (one
-    kernel pass per source for psi = delta + zeta: target and source
-    weight 1 + deg1) with a closed-form pendant term that carries no
-    sampling error; removed degree-1 nodes score 0.  On a graph with
-    no degree-1 nodes this reduces bit-for-bit to the plain exact
-    algorithm.
+    Each kept node's score combines the weighted accumulation over the
+    peeled graph (one kernel pass per source for psi = delta + zeta:
+    target and source weight 1 + deg1) with a closed-form pendant term;
+    removed degree-1 nodes score 0.  On a graph with no degree-1 nodes
+    this reduces bit-for-bit to the plain exact algorithm.  The pivot
+    estimator on the same set-up is sampling.sample_bc_peeled.
 
     The peeled graph can still have degree-1 nodes (kept nodes that
-    lost all but one neighbour to the round).  The exact run lets each
-    reuse its neighbour's dependency row (see exact.accumulate's
-    anchor), which saves that many BFS runs and moves no bit.  Memory
-    is the kernel's per-source lists plus one array('d') row, of the
-    component's size, per neighbour whose row a later source of the
-    same chunk still needs.  Sampled runs keep one BFS per pivot.
+    lost all but one neighbour to the round).  Each reuses its
+    neighbour's dependency row (see exact.accumulate's anchor), which
+    saves that many BFS runs and moves no bit.  Memory is the kernel's
+    per-source lists plus one array('d') row, of the component's size,
+    per neighbour whose row a later source of the same chunk still
+    needs; `threads` splits the sources as in `brandes_exact`.
     """
     start = perf_counter()
     one = _one_round(g)
-    nt = len(one.kept)
-    sources, sampled = _pick_sources(nt, k, seed)
-    bc = _peeled_scores(g, one, sources if sampled else None,
-                        nt / k if sampled else None, threads)
-    return BcResult(
-        bc=bc,
-        algorithm="peel1-mem",
-        k=k if sampled else None,
-        seed=seed if sampled else None,
-        elapsed=perf_counter() - start,
-        peeled=one.decomp,
-    )
+    bc = _peeled_scores(g, one, threads=threads)
+    return BcResult(bc=bc, algorithm="peel1-mem", elapsed=perf_counter() - start,
+                    peeled=one.decomp)
 
 
 def bc_via_2core_recurrence(g: Graph, threads: int = 1) -> BcResult:
@@ -233,6 +204,6 @@ def bc_via_2core_recurrence(g: Graph, threads: int = 1) -> BcResult:
     """
     start = perf_counter()
     one = _full_peel(g)
-    bc = _peeled_scores(g, one, None, None, threads)
+    bc = _peeled_scores(g, one, threads=threads)
     return BcResult(bc=bc, algorithm="2core-recurrence",
                     elapsed=perf_counter() - start, peeled=one.decomp)

@@ -17,7 +17,7 @@ from time import perf_counter
 from .exact import BcResult, _normalizer, accumulate_chunked
 from .exact import sssp_bfs  # noqa: F401  (bound here for the benchmark's tracer)
 from .graph import Graph
-from .peeling import _add_pendant_terms, _one_round, _peeled_scores, bc_one_round_mem
+from .peeling import _add_pendant_terms, _one_round, _peeled_scores
 
 
 @dataclass(frozen=True)
@@ -78,39 +78,39 @@ def sample_bc_peeled(
 ) -> BcResult:
     """Estimate betweenness with pivots drawn after one peeling round.
 
-    Delegates to the memory-efficient one-round algorithm with k pivots
-    among the survivors; when k reaches the survivor count the run is
-    exact, bit-for-bit.  With exact_y_sources the pendant-anchor sources
-    are solved exactly and sampling covers only the unweighted part of
-    the survivor sum (rescaled by (survivors - 1)/k); this refinement
-    trades extra SSSP runs for variance when few nodes hold pendants.
+    Draws k distinct pivots among the survivors, runs the one-round
+    set-up's kernel from them and rescales by survivors/k; the pendant
+    terms are added in closed form.  When k reaches the survivor count
+    the run is bc_one_round_mem's exact one, bit-for-bit, and the result
+    carries k = seed = None.  With exact_y_sources the pendant-anchor
+    sources are solved exactly and sampling covers only the unweighted
+    part of the survivor sum (rescaled by (survivors - 1)/k); this
+    refinement trades extra SSSP runs for variance when few nodes hold
+    pendants.
     """
-    if not exact_y_sources:
-        result = bc_one_round_mem(g, k=cfg.k, seed=cfg.seed)
-        result.algorithm = "sample-peeled"
-        return result
-
     start = perf_counter()
-    n = g.n
     one = _one_round(g)
     nt = len(one.kept)
-    if cfg.k >= nt:
-        bc = _peeled_scores(g, one, None, None, threads=1)
+    k, seed = cfg.k, cfg.seed
+    if k >= nt:
+        bc = _peeled_scores(g, one)
         k = seed = None
     else:
-        bc = [0.0] * n
-        if n > 2:
-            deg1_sub = [one.T[v] for v in one.kept]
-            y_sources = [i for i, d in enumerate(deg1_sub) if d > 0]
-            exact_acc = accumulate_chunked(one.sub, y_sources, one.weight, deg1_sub)
-            rng = random.Random(cfg.seed)
-            pivots = rng.sample(range(nt), cfg.k)
-            sampled_acc = accumulate_chunked(one.sub, pivots, one.weight)
-            scale = (nt - 1) / cfg.k
-            total = [e + scale * s for e, s in zip(exact_acc, sampled_acc)]
-            _add_pendant_terms(bc, one, total)
-        k, seed = cfg.k, cfg.seed
-    return BcResult(bc=bc, algorithm="sample-peeled-ysplit", k=k, seed=seed,
+        pivots = random.Random(seed).sample(range(nt), k)
+        if not exact_y_sources:
+            bc = _peeled_scores(g, one, pivots, nt / k)
+        else:
+            bc = [0.0] * g.n
+            if g.n > 2:
+                deg1_sub = [one.T[v] for v in one.kept]
+                y_sources = [i for i, d in enumerate(deg1_sub) if d > 0]
+                exact_acc = accumulate_chunked(one.sub, y_sources, one.weight, deg1_sub)
+                sampled_acc = accumulate_chunked(one.sub, pivots, one.weight)
+                scale = (nt - 1) / k
+                total = [e + scale * s for e, s in zip(exact_acc, sampled_acc)]
+                _add_pendant_terms(bc, one, total)
+    algorithm = "sample-peeled-ysplit" if exact_y_sources else "sample-peeled"
+    return BcResult(bc=bc, algorithm=algorithm, k=k, seed=seed,
                     elapsed=perf_counter() - start, peeled=one.decomp)
 
 

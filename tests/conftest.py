@@ -38,6 +38,13 @@ def corpus(count: int) -> list[Graph]:
     return [corpus_graph(seed) for seed in range(count)]
 
 
+def preds(tree) -> list[list[int]]:
+    """Every node's shortest-path predecessors in an SsspTree: its
+    neighbours one hop closer to the source."""
+    dist = tree.dist
+    return [[v for v in nbrs if dist[v] == d - 1] for nbrs, d in zip(tree.adj, dist)]
+
+
 def path_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 

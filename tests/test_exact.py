@@ -29,7 +29,7 @@ from peelbc.exact import (
     source_chunks,
 )
 
-from conftest import corpus_graph, er_with_exact_pendants, path_graph
+from conftest import corpus_graph, er_with_exact_pendants, path_graph, preds
 
 
 def enumeration_bc(g: Graph) -> list[float]:
@@ -87,7 +87,7 @@ class TestSsspBfs:
     def test_cycle_two_equal_paths(self):
         tree = sssp_bfs(CYCLE4, 0)
         assert tree.sigma[2] == 2
-        assert sorted(tree.preds[2]) == [1, 3]
+        assert sorted(preds(tree)[2]) == [1, 3]
         assert tree.dist == [0, 1, 2, 1]
 
     def test_star_center_source(self):
@@ -130,15 +130,16 @@ class TestSsspBfs:
             tree = sssp_bfs(g, s)
             assert tree.sigma[s] == 1 and tree.dist[s] == 0
             position = {v: i for i, v in enumerate(tree.order)}
+            parents = preds(tree)
             for w in range(g.n):
                 if w == s or tree.dist[w] < 0:
                     continue
-                assert tree.sigma[w] == sum(tree.sigma[v] for v in tree.preds[w])
-                for v in tree.preds[w]:
+                assert tree.sigma[w] == sum(tree.sigma[v] for v in parents[w])
+                for v in parents[w]:
                     assert tree.dist[v] == tree.dist[w] - 1
                     assert v in g.adj[w]
                 # farthest-first order: strictly farther nodes come earlier
-                for v in tree.preds[w]:
+                for v in parents[w]:
                     assert position[v] > position[w]
 
 

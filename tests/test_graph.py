@@ -361,14 +361,6 @@ class TestPeel:
         decomp = peel(g)
         assert 2 in decomp.core_nodes
 
-    def test_max_rounds_prefix(self):
-        g = corpus_graph(3)
-        full = peel(g)
-        one = peel(g, max_rounds=1)
-        assert one.rounds[:1] == full.rounds[:1]
-        assert one.deg1 == full.deg1
-        assert one.Y == full.Y
-
     @pytest.mark.parametrize("seed", range(12))
     def test_invariants_on_random_graphs(self, seed):
         g = corpus_graph(seed)

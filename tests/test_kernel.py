@@ -39,9 +39,9 @@ from peelbc import (
     sssp_bfs,
 )
 from peelbc.exact import _normalizer, accumulate_chunked, pendant_anchors
-from peelbc.peeling import _add_pendant_terms, _full_peel, _one_round, _pick_sources
+from peelbc.peeling import _add_pendant_terms, _full_peel, _one_round
 
-from conftest import corpus, diamond_chain
+from conftest import corpus, diamond_chain, preds
 
 # One-pass psi = delta + zeta against the two-accumulator sum: the worst
 # case is 4 ulps on the inputs below and 7 on the larger bundled fixtures.
@@ -152,9 +152,12 @@ def _pendant_terms(g: Graph, one, acc: list[float]) -> list[float]:
 
 
 def ref_one_round(g: Graph, k: int | None = None, seed: int | None = None):
+    """Exact when k is None or reaches the survivor count; otherwise k
+    pivots drawn as sample_bc_peeled draws them, rescaled by nt/k."""
     one = _one_round(g)
     nt = len(one.kept)
-    sources, sampled = _pick_sources(nt, k, seed)
+    sampled = k is not None and k < nt
+    sources = random.Random(seed).sample(range(nt), k) if sampled else range(nt)
     if g.n <= 2:
         return [0.0] * g.n
     deg1_sub = [one.decomp.deg1[orig] for orig in one.kept]
@@ -205,9 +208,9 @@ def test_sssp_matches_predecessor_bfs(graphs):
     for g in graphs[:40]:
         for s in range(g.n):
             tree = sssp_bfs(g, s)
-            dist, sigma, preds, order = ref_sssp(g, s)
+            dist, sigma, ref_preds, order = ref_sssp(g, s)
             assert (tree.dist, tree.sigma, tree.order) == (dist, sigma, order)
-            assert [sorted(p) for p in tree.preds] == [sorted(p) for p in preds]
+            assert [sorted(p) for p in preds(tree)] == [sorted(p) for p in ref_preds]
 
 
 def test_brandes_matches_reference(graphs):
@@ -233,19 +236,19 @@ def test_sample_baseline_matches_reference(graphs):
 
 
 def test_one_round_mem_within_ulps(graphs):
-    for seed, g in enumerate(graphs):
+    for g in graphs:
         assert_within_ulps(bc_one_round_mem(g, threads=1).bc, ref_one_round(g))
-        k = 1 + seed % 5
-        assert_within_ulps(bc_one_round_mem(g, k=k, seed=seed).bc,
-                           ref_one_round(g, k=k, seed=seed))
 
 
 def test_sample_peeled_within_ulps(graphs):
     for seed, g in enumerate(graphs):
         nt = len(_one_round(g).kept)
         cfg = SampleConfig(k=1 + seed % max(1, nt - 1), seed=seed)
-        assert_within_ulps(sample_bc_peeled(g, cfg).bc,
-                           ref_one_round(g, k=cfg.k, seed=cfg.seed))
+        # k = 1 + seed % 5 reaches the survivor count, the exact run, on
+        # four of these graphs
+        for k in (cfg.k, 1 + seed % 5):
+            assert_within_ulps(sample_bc_peeled(g, SampleConfig(k=k, seed=seed)).bc,
+                               ref_one_round(g, k=k, seed=seed))
         if cfg.k < nt and g.n > 2:
             assert_within_ulps(sample_bc_peeled(g, cfg, exact_y_sources=True).bc,
                                ref_ysplit(g, cfg))

@@ -77,7 +77,9 @@ class TestPeeled:
     def test_deterministic_per_seed(self):
         g = er_with_exact_pendants(25, 45, 0.15, seed=8)
         cfg = SampleConfig(k=6, seed=9)
-        first = sample_bc_peeled(g, cfg).bc
+        result = sample_bc_peeled(g, cfg)
+        first = result.bc
+        assert (result.k, result.seed) == (6, 9)
         assert sample_bc_peeled(g, cfg).bc == first
         assert sample_bc_peeled(g, SampleConfig(k=6, seed=10)).bc != first
 
