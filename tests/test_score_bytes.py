@@ -1,7 +1,8 @@
-"""Pinned output bytes: the sha256 of the JSON score file of each exact
-algorithm (--threads 1) and each sampler (--k 10 --seed 0, the peeled
-one also with --exact-y-sources), and of the stats table in JSON and
-CSV, on three bundled fixtures.
+"""Pinned output bytes: the sha256 of the JSON and CSV score files of
+each exact algorithm (--threads 1) and each sampler (--k 10 --seed 0,
+the peeled one also with --exact-y-sources, in JSON only), and of the
+stats table in JSON and CSV, on three bundled fixtures.  Output sent to
+stdout must be the same bytes as the --out file.
 
 Speed work on the kernel (component passes, anchor reuse) must not move
 a byte of these files.  A change that moves bytes on purpose (a new
@@ -12,8 +13,14 @@ updates the digests here and says so in CHANGES.md.
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import peelbc
 
 from peelbc import fixture_path
 from peelbc.cli import main
@@ -29,6 +36,10 @@ RUNS = {
     "stats-json": ["stats"],
     "stats-csv": ["stats", "--format", "csv"],
 }
+RUNS.update({
+    f"{run}-csv": [*RUNS[run], "--format", "csv"]
+    for run in ("brandes", "peel1", "2core-recurrence", "sample-peeled", "sample-baseline")
+})
 
 DIGESTS = {
     ("rt_obama", "brandes"): "f7840e28c5edd13b5c20446d7865da30d14d0252692bf9e77a54df1ca678ab3e",
@@ -45,6 +56,16 @@ DIGESTS = {
         "8de0e8a7c9c792a9eaa4d19a86340f174124e322737c60fd0eb139ab62012c66",
     ("rt_obama", "stats-csv"):
         "669930b71949ac5606f24140267bb3ce72ad5b68d22b27076fa50e7090312cfa",
+    ("rt_obama", "brandes-csv"):
+        "149748e9ec1a505f8c54972a955d245ec2dfbb24ef7d04fc5339f622e6bd6ae8",
+    ("rt_obama", "peel1-csv"):
+        "149748e9ec1a505f8c54972a955d245ec2dfbb24ef7d04fc5339f622e6bd6ae8",
+    ("rt_obama", "2core-recurrence-csv"):
+        "149748e9ec1a505f8c54972a955d245ec2dfbb24ef7d04fc5339f622e6bd6ae8",
+    ("rt_obama", "sample-peeled-csv"):
+        "d988264cd6d4e6f51ff4cd06fe4075c81963d1521ffd8a6eae470588a40bdbc3",
+    ("rt_obama", "sample-baseline-csv"):
+        "f442c0ece78aef2ea7c2ea013215d2027b71d4ef59592799c2c2af829b2cffeb",
     ("ca-CSphd", "brandes"): "23be6383a38c5a12d241bcbfe05363f99ceace4777b86d3acd842931fc087818",
     ("ca-CSphd", "peel1"): "2ddb13b0ad03c3d9ee7e41b99b5a8b5343968b213f0eba7cea9a066aeb58c9d7",
     ("ca-CSphd", "2core-recurrence"):
@@ -59,6 +80,16 @@ DIGESTS = {
         "1a48efc070879e2a9e5db23341679e84eef3c08a71caa7a24e3cf8125ad90215",
     ("ca-CSphd", "stats-csv"):
         "438f382f71a8cc712f7323a80695616ff62fa643b3d5e2647260d0c7d759a927",
+    ("ca-CSphd", "brandes-csv"):
+        "91487ee361c430ff636be5a50790a6356e729c8a567321fc5ba3a12aa1f18022",
+    ("ca-CSphd", "peel1-csv"):
+        "91487ee361c430ff636be5a50790a6356e729c8a567321fc5ba3a12aa1f18022",
+    ("ca-CSphd", "2core-recurrence-csv"):
+        "91487ee361c430ff636be5a50790a6356e729c8a567321fc5ba3a12aa1f18022",
+    ("ca-CSphd", "sample-peeled-csv"):
+        "328044e05dafb771797449a687433f0ebdce8d7b83b802a4609fb44890b0c1b1",
+    ("ca-CSphd", "sample-baseline-csv"):
+        "171a55a561af366f02ca4aaff00924893194e077f7df7569a8f958764d68caae",
     ("soc-dolphins", "brandes"):
         "37e37eaef18d2f1de147268c7beba5192dbfe7b5c9e242a48235ca65cf95cbd0",
     ("soc-dolphins", "peel1"): "5bc000518e90ee34641b076c60affce2ee29add7b505a22ee1d849db4a07df09",
@@ -74,6 +105,16 @@ DIGESTS = {
         "1a5a56997fc04b1b4f13d5301ccd16a40fe1bab379592ee7993d46a19942563e",
     ("soc-dolphins", "stats-csv"):
         "ab5415c08940d03f02cd8b71bceee0faf406ca1774246404242051b173e2b175",
+    ("soc-dolphins", "brandes-csv"):
+        "218241d65c261b57381ed6f24f8d1d5023c2922940c5f36b6e355c3a57a0189f",
+    ("soc-dolphins", "peel1-csv"):
+        "218241d65c261b57381ed6f24f8d1d5023c2922940c5f36b6e355c3a57a0189f",
+    ("soc-dolphins", "2core-recurrence-csv"):
+        "218241d65c261b57381ed6f24f8d1d5023c2922940c5f36b6e355c3a57a0189f",
+    ("soc-dolphins", "sample-peeled-csv"):
+        "6cbfa8ea921fbab27b70eea3a244abedc9acd21066688941849214bab09f193a",
+    ("soc-dolphins", "sample-baseline-csv"):
+        "dc1a8087604b85804fab42cccef4d80091c6417d3014894deefcd3aa5bf5e6c4",
 }
 
 
@@ -86,3 +127,32 @@ def test_score_file_digest(fixture, run, tmp_path):
     assert main([command, str(fixture_path(fixture)), *flags,
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[fixture, run]
+
+
+STDOUT_RUNS = {
+    "exact": ["exact", "--algorithm", "peel1", "--threads", "1"],
+    "sample": ["sample", "--k", "3", "--seed", "7"],
+    "stats": ["stats"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(STDOUT_RUNS))
+def test_stdout_bytes_equal_out_file(command, fmt, tmp_path):
+    """A CLI process that writes to stdout (no --out, or --out -) prints
+    the --out file's bytes; the labels need CSV quoting."""
+    graph = tmp_path / "quoted.edges"
+    graph.write_text('a"b c,d\nc,d e\ne a"b\ne f\nf g\n')
+    argv = [*STDOUT_RUNS[command], "--format", fmt]
+    argv.insert(1, str(graph))
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    src = str(Path(peelbc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for extra in ([], ["--out", "-"]):
+        proc = subprocess.run([sys.executable, "-m", "peelbc.cli", *argv, *extra],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out.read_bytes()
