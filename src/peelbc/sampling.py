@@ -84,7 +84,7 @@ def sample_bc_peeled(
     the run is bc_one_round_mem's exact one, bit-for-bit, and the result
     carries k = seed = None.  With exact_y_sources the pendant-anchor
     sources are solved exactly and sampling covers only the unweighted
-    part of the survivor sum (rescaled by (survivors - 1)/k); this
+    part of the survivor sum (rescaled by survivors/k); this
     refinement trades extra SSSP runs for variance when few nodes hold
     pendants.
     """
@@ -106,7 +106,7 @@ def sample_bc_peeled(
                 y_sources = [i for i, d in enumerate(deg1_sub) if d > 0]
                 exact_acc = accumulate_chunked(one.sub, y_sources, one.weight, deg1_sub)
                 sampled_acc = accumulate_chunked(one.sub, pivots, one.weight)
-                scale = (nt - 1) / k
+                scale = nt / k
                 total = [e + scale * s for e, s in zip(exact_acc, sampled_acc)]
                 _add_pendant_terms(bc, one, total)
     algorithm = "sample-peeled-ysplit" if exact_y_sources else "sample-peeled"

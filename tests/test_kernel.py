@@ -188,7 +188,7 @@ def ref_ysplit(g: Graph, cfg: SampleConfig) -> list[float]:
         delta, zeta = ref_delta_zeta(one.sub, s, deg1_sub)
         for v in range(nt):
             sampled_acc[v] += delta[v] + zeta[v]
-    scale = (nt - 1) / cfg.k
+    scale = nt / cfg.k
     acc = [e + scale * x for e, x in zip(exact_acc, sampled_acc)]
     return _pendant_terms(g, one, acc)
 

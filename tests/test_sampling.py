@@ -1,8 +1,11 @@
+import itertools
 import math
 import statistics
+from types import SimpleNamespace
 
 import pytest
 
+import peelbc.sampling
 from peelbc import (
     Graph,
     SampleConfig,
@@ -115,6 +118,39 @@ class TestPeeled:
 
 
 class TestUnbiasedness:
+    @pytest.mark.parametrize("exact_y_sources", [False, True], ids=["plain", "ysplit"])
+    def test_mean_over_every_pivot_set_is_exact(self, exact_y_sources, monkeypatch):
+        """The estimate averaged over every k-subset of the survivors is
+        the exact one-round score, for each k below the survivor count."""
+        # survivors 0-4 (4 keeps pendant 5) and the triangle 9-11; two
+        # nodes of degree 1 sit on 0, one on 3 and one on 9
+        g = Graph.from_edges(13, [
+            (0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 4), (4, 5), (0, 6),
+            (0, 7), (3, 8), (9, 10), (10, 11), (11, 9), (9, 12),
+        ])
+        exact = bc_one_round_mem(g).bc
+        nt = sum(1 for v in range(g.n) if g.degree(v) != 1)
+        for k in (1, 3, nt - 1):
+            subsets = list(itertools.combinations(range(nt), k))
+            draws = iter(subsets)
+
+            class EachSubset:
+                def __init__(self, seed):
+                    pass
+
+                def sample(self, population, count):
+                    assert (list(population), count) == (list(range(nt)), k)
+                    return list(next(draws))
+
+            monkeypatch.setattr(peelbc.sampling, "random", SimpleNamespace(Random=EachSubset))
+            runs = [
+                sample_bc_peeled(g, SampleConfig(k=k), exact_y_sources=exact_y_sources).bc
+                for _ in subsets
+            ]
+            assert next(draws, None) is None
+            means = [statistics.fmean(values) for values in zip(*runs)]
+            assert means == pytest.approx(exact, rel=1e-12, abs=0)
+
     def test_estimator_means_near_truth(self):
         g = er_with_exact_pendants(40, 90, 0.12, seed=17)
         truth = brandes_exact(g).bc

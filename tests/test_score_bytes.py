@@ -51,7 +51,7 @@ DIGESTS = {
     ("rt_obama", "sample-baseline"):
         "f489fe802e53dbc4bd2fece3a4688af26dc78e4bb809bd6716e5b80cf42c6307",
     ("rt_obama", "sample-peeled-ysplit"):
-        "63f73b68faeaace7d77e86312764b18157f7c792800e26fd29b8991d4acc588f",
+        "e12bda8c9723347e09b442847fca1e6179f238d3c2047372aa08e52dafd9ee57",
     ("rt_obama", "stats-json"):
         "8de0e8a7c9c792a9eaa4d19a86340f174124e322737c60fd0eb139ab62012c66",
     ("rt_obama", "stats-csv"):
@@ -75,7 +75,7 @@ DIGESTS = {
     ("ca-CSphd", "sample-baseline"):
         "69faae3f97e166c80104910893547c7da4dc0e28fb75b011bd3771495887678f",
     ("ca-CSphd", "sample-peeled-ysplit"):
-        "a32d234ebff94ecb2bebb81dbc2478c6c6cdf0a7c3e187ed3194b4288780eb80",
+        "576bb13d030d1a948a0492214d261127e71ee4dcb78bffbd8e8c32745068c12a",
     ("ca-CSphd", "stats-json"):
         "1a48efc070879e2a9e5db23341679e84eef3c08a71caa7a24e3cf8125ad90215",
     ("ca-CSphd", "stats-csv"):
@@ -100,7 +100,7 @@ DIGESTS = {
     ("soc-dolphins", "sample-baseline"):
         "20c1d7a13a55f1324bdb2404733aa23c37ce73cfbc0263dd99b1075c46100845",
     ("soc-dolphins", "sample-peeled-ysplit"):
-        "6473b7395c3f0384cf7a9ea32cd39574c287f653a5c06211a3cf185a064ea886",
+        "c09aa98ebde0a575e5d1310a1ab0cbc85deb8592a858cd4d57ed167d736db278",
     ("soc-dolphins", "stats-json"):
         "1a5a56997fc04b1b4f13d5301ccd16a40fe1bab379592ee7993d46a19942563e",
     ("soc-dolphins", "stats-csv"):
