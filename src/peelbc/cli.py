@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -33,53 +33,6 @@ from .synth import Attachment, CorePeripherySpec, generate_core_periphery
 EXACT_ALGORITHMS = ("brandes", "peel1", "2core-recurrence", "oracle")
 DEFAULT_V1_GRID = (100, 500, 1000, 3000)
 DEFAULT_K_GRID = (5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
-
-
-@dataclass
-class RunRecord:
-    """One run's metadata; serializes to a CSV row or JSON object.
-
-    elapsed is populated in memory but only serialized when the caller
-    asks for timing, keeping default outputs byte-reproducible.
-    """
-
-    dataset: str
-    algorithm: str
-    n: int
-    m: int
-    n_tilde: int
-    m_tilde: int
-    k: int | None = None
-    seed: int | None = None
-    rel_l1: float | None = None
-    round_fractions: tuple[float, ...] = ()
-    elapsed: float | None = None
-
-    CSV_FIELDS = (
-        "dataset", "algorithm", "n", "m", "n_tilde", "m_tilde", "k", "seed",
-        "rel_l1", "round_fractions", "elapsed",
-    )
-
-    def to_json_obj(self, include_timing: bool = False) -> dict:
-        obj = {
-            "dataset": self.dataset,
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "m": self.m,
-            "n_tilde": self.n_tilde,
-            "m_tilde": self.m_tilde,
-            "k": self.k,
-            "seed": self.seed,
-            "rel_l1": self.rel_l1,
-            "round_fractions": list(self.round_fractions),
-        }
-        if include_timing:
-            obj["elapsed"] = self.elapsed
-        return obj
-
-    def to_csv_row(self, include_timing: bool = False) -> list[str]:
-        obj = self.to_json_obj(include_timing=include_timing)
-        return [_csv_cell(obj.get(name)) for name in self.CSV_FIELDS]
 
 
 def _fmt(x: float) -> str:
@@ -121,30 +74,45 @@ def label_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=keys.__getitem__)
 
 
-def _make_record(dataset: str, g: Graph, result: BcResult,
-                 rel_l1: float | None = None) -> RunRecord:
-    """The run record; its peel statistics come from the peel the
-    algorithm ran, or from a peel here when it ran none."""
+def _run_record(dataset: str, g: Graph, result: BcResult,
+                rel_l1: float | None, timing: bool) -> dict:
+    """The "run" object of a JSON score file.
+
+    Its peel statistics come from the peel the algorithm ran, or from a
+    peel here when it ran none.  elapsed is included only with timing,
+    keeping default outputs byte-reproducible.
+    """
     n_tilde, m_tilde, fractions = peel_sizes(g, result.peeled or peel(g))
-    return RunRecord(
-        dataset=dataset,
-        algorithm=result.algorithm,
-        n=g.n,
-        m=g.m,
-        n_tilde=n_tilde,
-        m_tilde=m_tilde,
-        k=result.k,
-        seed=result.seed,
-        rel_l1=rel_l1,
-        round_fractions=tuple(fractions),
-        elapsed=result.elapsed,
-    )
+    run = {
+        "dataset": dataset,
+        "algorithm": result.algorithm,
+        "n": g.n,
+        "m": g.m,
+        "n_tilde": n_tilde,
+        "m_tilde": m_tilde,
+        "k": result.k,
+        "seed": result.seed,
+        "rel_l1": rel_l1,
+        "round_fractions": fractions,
+    }
+    if timing:
+        run["elapsed"] = result.elapsed
+    return run
 
 
-def _open_out(path: str | None):
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _write_out(path: str | Path | None, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is None or "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _json_number(x) -> str:
@@ -180,23 +148,17 @@ def scores_json(run: dict, labels, values) -> str:
     return f'{{\n  "run": {run_text},\n  "scores": {scores_text}\n}}\n'
 
 
-def _write_scores(args, g: Graph, result: BcResult, record: RunRecord) -> None:
+def _write_scores(args, g: Graph, result: BcResult,
+                  rel_l1: float | None = None) -> None:
     order = label_order(g)
     labels = list(map(str, map(g.labels.__getitem__, order)))
     values = list(map(result.bc.__getitem__, order))
-    stream, close = _open_out(args.out)
-    try:
-        if args.format == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(["node", "bc"])
-            writer.writerows(zip(labels, map(_fmt, values)))
-        else:
-            stream.write(scores_json(
-                record.to_json_obj(include_timing=args.timing), labels, values,
-            ))
-    finally:
-        if close:
-            stream.close()
+    if args.format == "csv":
+        text = _csv_text([("node", "bc"), *zip(labels, map(_fmt, values))])
+    else:
+        run = _run_record(Path(args.input).name, g, result, rel_l1, args.timing)
+        text = scores_json(run, labels, values)
+    _write_out(args.out, text)
 
 
 def _read_scores_csv(path) -> dict[str, float]:
@@ -248,7 +210,6 @@ def cmd_exact(args) -> int:
     g = read_graph(args.input, fmt=args.input_format)
     result = _run_exact_algorithm(args.algorithm, g, args.threads, args.force)
     _note(f"{args.algorithm}: {result.elapsed:.3f}s on n={g.n} m={g.m}")
-    record = _make_record(Path(args.input).name, g, result)
     if args.compare_with:
         other = _run_exact_algorithm(args.compare_with, g, args.threads, args.force)
         diff = max(
@@ -258,7 +219,7 @@ def cmd_exact(args) -> int:
             f"compare {args.algorithm} vs {args.compare_with}: "
             f"max_abs_diff={diff:.6e} ({other.elapsed:.3f}s)"
         )
-    _write_scores(args, g, result, record)
+    _write_scores(args, g, result)
     return 0
 
 
@@ -279,8 +240,7 @@ def cmd_sample(args) -> int:
         truth = _truth_from_file(g, args.truth)
         rel = relative_l1_error(result, truth).rel_l1
         _note(f"rel_l1 vs truth: {_fmt(rel)}")
-    record = _make_record(Path(args.input).name, g, result, rel_l1=rel)
-    _write_scores(args, g, result, record)
+    _write_scores(args, g, result, rel)
     return 0
 
 
@@ -296,21 +256,15 @@ def cmd_stats(args) -> int:
     report = peel_diagnostics(g)
     values = {"dataset": Path(args.input).name,
               **{name: getattr(report, name) for name in _STATS_FIELDS[1:]}}
-    stream, close = _open_out(args.out)
-    try:
-        if args.format == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(_STATS_FIELDS)
-            writer.writerow([_csv_cell(values[name]) for name in _STATS_FIELDS])
-        else:
-            values["deg1_histogram"] = {
-                str(k): v for k, v in report.deg1_histogram.items()
-            }
-            json.dump(values, stream, sort_keys=True, indent=2)
-            stream.write("\n")
-    finally:
-        if close:
-            stream.close()
+    if args.format == "csv":
+        row = [_csv_cell(values[name]) for name in _STATS_FIELDS]
+        text = _csv_text([_STATS_FIELDS, row])
+    else:
+        values["deg1_histogram"] = {
+            str(k): v for k, v in report.deg1_histogram.items()
+        }
+        text = json.dumps(values, sort_keys=True, indent=2) + "\n"
+    _write_out(args.out, text)
     return 0
 
 
@@ -319,51 +273,40 @@ def cmd_synth(args) -> int:
         core_size=args.core,
         v1_count=args.v1,
         attachment=Attachment(args.attachment),
-        seed=args.seed,
     )
     g = generate_core_periphery(spec)
-    if args.out is None or args.out == "-":
-        write_edge_list(g, sys.stdout)
-    else:
-        write_edge_list(g, args.out)
+    text = io.StringIO()
+    write_edge_list(g, text)
+    _write_out(args.out, text.getvalue())
     _note(f"generated core={args.core} periphery={args.v1}: n={g.n} m={g.m}")
     return 0
-
-
-def _bench_writer(out_dir: Path, name: str):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    handle = open(out_dir / name, "w", encoding="utf-8", newline="")
-    return handle, csv.writer(handle, lineterminator="\n")
 
 
 def bench_synth_growth(args) -> int:
     """Estimator error vs periphery size at fixed pivot count."""
     out_dir = Path(args.out)
-    handle, writer = _bench_writer(out_dir, "synth_growth.csv")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = [("v1", "method", "k", "seed", "rel_l1")]
     summary: dict[tuple[int, str], list[float]] = {}
-    with handle:
-        writer.writerow(["v1", "method", "k", "seed", "rel_l1"])
-        for v1 in args.v1_grid:
-            spec = CorePeripherySpec(
-                core_size=args.core,
-                v1_count=v1,
-                attachment=Attachment(args.attachment),
-            )
-            g = generate_core_periphery(spec)
-            truth = bc_one_round_mem(g, threads=args.threads)
-            for seed in range(args.seeds):
-                for method in ("baseline", "peeled"):
-                    est = _estimate(method, g, args.k, seed)
-                    rel = relative_l1_error(est, truth).rel_l1
-                    writer.writerow(
-                        [v1, method, args.k, seed, _fmt(rel)]
-                    )
-                    summary.setdefault((v1, method), []).append(rel)
-    handle2, writer2 = _bench_writer(out_dir, "synth_growth_summary.csv")
-    with handle2:
-        writer2.writerow(["v1", "method", "k", "mean_rel_l1"])
-        for (v1, method), vals in sorted(summary.items()):
-            writer2.writerow([v1, method, args.k, _fmt(sum(vals) / len(vals))])
+    for v1 in args.v1_grid:
+        spec = CorePeripherySpec(
+            core_size=args.core,
+            v1_count=v1,
+            attachment=Attachment(args.attachment),
+        )
+        g = generate_core_periphery(spec)
+        truth = bc_one_round_mem(g, threads=args.threads)
+        for seed in range(args.seeds):
+            for method in ("baseline", "peeled"):
+                est = _estimate(method, g, args.k, seed)
+                rel = relative_l1_error(est, truth).rel_l1
+                rows.append((v1, method, args.k, seed, _fmt(rel)))
+                summary.setdefault((v1, method), []).append(rel)
+    _write_out(out_dir / "synth_growth.csv", _csv_text(rows))
+    rows = [("v1", "method", "k", "mean_rel_l1")]
+    for (v1, method), vals in sorted(summary.items()):
+        rows.append((v1, method, args.k, _fmt(sum(vals) / len(vals))))
+    _write_out(out_dir / "synth_growth_summary.csv", _csv_text(rows))
     _note(f"synth-growth tables written to {out_dir}")
     return 0
 
@@ -373,21 +316,21 @@ def bench_pivot_sweep(args) -> int:
     if not args.datasets:
         raise ValueError("pivot-sweep needs at least one dataset path")
     out_dir = Path(args.out)
-    handle, writer = _bench_writer(out_dir, "pivot_sweep.csv")
-    with handle:
-        writer.writerow(["dataset", "method", "k", "seed", "rel_l1"])
-        for path in args.datasets:
-            g = read_graph(path)
-            truth = brandes_exact(g, threads=args.threads)
-            name = Path(path).name
-            for k in args.k_grid:
-                if k > g.n:
-                    continue
-                for seed in range(args.seeds):
-                    for method in ("baseline", "peeled"):
-                        est = _estimate(method, g, k, seed)
-                        rel = relative_l1_error(est, truth).rel_l1
-                        writer.writerow([name, method, k, seed, _fmt(rel)])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = [("dataset", "method", "k", "seed", "rel_l1")]
+    for path in args.datasets:
+        g = read_graph(path)
+        truth = brandes_exact(g, threads=args.threads)
+        name = Path(path).name
+        for k in args.k_grid:
+            if k > g.n:
+                continue
+            for seed in range(args.seeds):
+                for method in ("baseline", "peeled"):
+                    est = _estimate(method, g, k, seed)
+                    rel = relative_l1_error(est, truth).rel_l1
+                    rows.append((name, method, k, seed, _fmt(rel)))
+    _write_out(out_dir / "pivot_sweep.csv", _csv_text(rows))
     _note(f"pivot-sweep table written to {out_dir}")
     return 0
 
@@ -460,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attachment",
                    choices=tuple(a.value for a in Attachment),
                    default=Attachment.LINEAR_SKEW.value)
-    p.add_argument("--seed", type=_seed_value, default=0)
     p.add_argument("--out", default=None, help="edge-list output (default stdout)")
     p.set_defaults(func=cmd_synth)
 

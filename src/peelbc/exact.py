@@ -78,7 +78,8 @@ class BcResult:
 
     k is None for exact runs; elapsed is wall time of the compute call.
     peeled is the full peel of the input graph when the algorithm ran
-    one, so the run record reuses it; it is never serialized.
+    one, so the run record of a JSON score file reuses it; it is never
+    serialized.
     """
 
     bc: list[float]

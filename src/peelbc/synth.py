@@ -30,14 +30,12 @@ class CorePeripherySpec:
     non-central nodes split into a first half of floor(core_size/2)
     nodes and a second half of the rest.  v1_count periphery nodes of
     degree 1 attach per the schedule; the central node never receives
-    any.  Construction is fully deterministic; seed is carried for
-    bookkeeping in run records.
+    any.  Construction is fully deterministic.
     """
 
     core_size: int
     v1_count: int
     attachment: Attachment = Attachment.LINEAR_SKEW
-    seed: int = 0
 
     def __post_init__(self):
         if self.core_size < 3:

@@ -264,7 +264,7 @@ def test_criterion_9_determinism(tmp_path):
         "sample-peeled": ["sample", dolphins, "--k", "10", "--seed", "7",
                           "--method", "peeled"],
         "stats": ["stats", obama],
-        "synth": ["synth", "--core", "50", "--v1", "100", "--seed", "3",
+        "synth": ["synth", "--core", "50", "--v1", "100",
                   "--attachment", "geometric-halving"],
     }
     for name, argv in commands.items():

@@ -16,9 +16,8 @@ from peelbc.cli import (
     DEFAULT_K_GRID,
     DEFAULT_V1_GRID,
     EXACT_ALGORITHMS,
-    RunRecord,
     _label_key,
-    _make_record,
+    _run_record,
     label_order,
     main,
     scores_json,
@@ -367,27 +366,23 @@ class TestSynth:
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.edges", tmp_path / "b.edges"
         for out in (a, b):
-            assert main(["synth", "--core", "10", "--v1", "11", "--seed", "3",
+            assert main(["synth", "--core", "10", "--v1", "11",
                          "--attachment", "geometric-halving",
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
 
 class TestRunRecord:
-    RECORD = RunRecord(
-        dataset="g.edges", algorithm="peel1-mem", n=10, m=12, n_tilde=6,
-        m_tilde=7, k=3, seed=9, rel_l1=0.125,
-        round_fractions=(0.4, 0.1), elapsed=1.5,
-    )
-
     def test_json_object_is_lossless(self):
-        obj = self.RECORD.to_json_obj(include_timing=True)
-        assert obj == {
-            "dataset": "g.edges", "algorithm": "peel1-mem", "n": 10, "m": 12,
-            "n_tilde": 6, "m_tilde": 7, "k": 3, "seed": 9, "rel_l1": 0.125,
-            "round_fractions": [0.4, 0.1], "elapsed": 1.5,
+        # a triangle 1-2-3 with pendants 0 and 4
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4)])
+        result = BcResult(bc=[0.0] * 5, algorithm="peel1-mem", k=3, seed=9, elapsed=1.5)
+        assert _run_record("g.edges", g, result, 0.125, timing=True) == {
+            "dataset": "g.edges", "algorithm": "peel1-mem", "n": 5, "m": 5,
+            "n_tilde": 3, "m_tilde": 3, "k": 3, "seed": 9, "rel_l1": 0.125,
+            "round_fractions": [0.4], "elapsed": 1.5,
         }
-        assert "elapsed" not in self.RECORD.to_json_obj()
+        assert "elapsed" not in _run_record("g.edges", g, result, 0.125, timing=False)
 
     def test_lean_record_matches_peel_diagnostics(self):
         graphs = corpus(200) + [
@@ -398,21 +393,27 @@ class TestRunRecord:
             Graph.from_edges(0, []),
         ]
         for g in graphs:
-            record = _make_record("g", g, BcResult(bc=[], algorithm="x"))
+            run = _run_record("g", g, BcResult(bc=[], algorithm="x"), None, timing=False)
             report = peel_diagnostics(g)
-            assert (record.n_tilde, record.m_tilde) == (report.n_tilde, report.m_tilde)
-            assert list(record.round_fractions) == report.round_fractions
+            assert (run["n_tilde"], run["m_tilde"]) == (report.n_tilde, report.m_tilde)
+            assert run["round_fractions"] == report.round_fractions
 
-    @pytest.mark.parametrize("argv", [
-        ["exact", "--algorithm", "peel1", "--threads", "1"],
-        ["exact", "--algorithm", "brandes", "--threads", "1"],
-        ["sample", "--method", "peeled", "--k", "5"],
-        ["sample", "--method", "peeled", "--k", "5", "--exact-y-sources"],
-        ["sample", "--method", "peeled", "--k", "62", "--exact-y-sources"],
-    ], ids=["peel1", "brandes", "peeled", "ysplit", "ysplit-exact"])
-    def test_one_peel_per_call(self, argv, monkeypatch, tmp_path):
-        """The record reuses the algorithm's peel; a call that ran none
-        (brandes) peels once for the record."""
+    @pytest.mark.parametrize("argv, fmt, peels", [
+        (["exact", "--algorithm", "peel1", "--threads", "1"], "json", 1),
+        (["exact", "--algorithm", "brandes", "--threads", "1"], "json", 1),
+        (["sample", "--method", "peeled", "--k", "5"], "json", 1),
+        (["sample", "--method", "peeled", "--k", "5", "--exact-y-sources"], "json", 1),
+        (["sample", "--method", "peeled", "--k", "62", "--exact-y-sources"], "json", 1),
+        (["exact", "--algorithm", "peel1", "--threads", "1"], "csv", 1),
+        (["exact", "--algorithm", "brandes", "--threads", "1"], "csv", 0),
+        (["sample", "--method", "peeled", "--k", "5"], "csv", 1),
+        (["sample", "--method", "baseline", "--k", "5"], "csv", 0),
+    ], ids=["peel1", "brandes", "peeled", "ysplit", "ysplit-exact",
+            "peel1-csv", "brandes-csv", "peeled-csv", "baseline-csv"])
+    def test_one_peel_per_call(self, argv, fmt, peels, monkeypatch, tmp_path):
+        """A JSON run record reuses the algorithm's peel, and a call that
+        ran none (brandes) peels once for it; a CSV file has no record,
+        so its call peels only as often as its algorithm does."""
         calls = []
         real = peelbc.graph.peel
 
@@ -422,23 +423,15 @@ class TestRunRecord:
 
         monkeypatch.setattr(peelbc.cli, "peel", spy)
         monkeypatch.setattr(peelbc.peeling, "peel", spy)
-        out = tmp_path / "scores.json"
-        assert main([argv[0], DOLPHINS, *argv[1:], "--format", "json",
+        out = tmp_path / "scores"
+        assert main([argv[0], DOLPHINS, *argv[1:], "--format", fmt,
                      "--out", str(out)]) == 0
-        assert len(calls) == 1
-        run = json.loads(out.read_text())["run"]
-        report = peel_diagnostics(peelbc.cli.read_graph(DOLPHINS))
-        assert (run["n_tilde"], run["m_tilde"]) == (report.n_tilde, report.m_tilde)
-        assert run["round_fractions"] == report.round_fractions
-
-    def test_csv_row_covers_every_field(self):
-        row = self.RECORD.to_csv_row(include_timing=True)
-        assert len(row) == len(RunRecord.CSV_FIELDS)
-        assert row[:2] == ["g.edges", "peel1-mem"]
-        assert row[RunRecord.CSV_FIELDS.index("round_fractions")] == "0.4;0.1"
-        assert row[RunRecord.CSV_FIELDS.index("elapsed")] == "1.5"
-        # timing withheld by default for reproducible outputs
-        assert self.RECORD.to_csv_row()[RunRecord.CSV_FIELDS.index("elapsed")] == ""
+        assert len(calls) == peels
+        if fmt == "json":
+            run = json.loads(out.read_text())["run"]
+            report = peel_diagnostics(peelbc.cli.read_graph(DOLPHINS))
+            assert (run["n_tilde"], run["m_tilde"]) == (report.n_tilde, report.m_tilde)
+            assert run["round_fractions"] == report.round_fractions
 
 
 class TestBench:

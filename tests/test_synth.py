@@ -90,7 +90,7 @@ class TestInvariants:
         assert decomp.core_nodes == list(range(12))
 
     def test_deterministic_edge_set(self):
-        spec = CorePeripherySpec(core_size=20, v1_count=33, seed=5)
+        spec = CorePeripherySpec(core_size=20, v1_count=33)
         a = generate_core_periphery(spec)
         b = generate_core_periphery(spec)
         assert a.adj == b.adj
