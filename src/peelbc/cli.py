@@ -275,9 +275,9 @@ def cmd_synth(args) -> int:
         attachment=Attachment(args.attachment),
     )
     g = generate_core_periphery(spec)
-    text = io.StringIO()
-    write_edge_list(g, text)
-    _write_out(args.out, text.getvalue())
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    _write_out(args.out, buf.getvalue())
     _note(f"generated core={args.core} periphery={args.v1}: n={g.n} m={g.m}")
     return 0
 
@@ -303,10 +303,10 @@ def bench_synth_growth(args) -> int:
                 rows.append((v1, method, args.k, seed, _fmt(rel)))
                 summary.setdefault((v1, method), []).append(rel)
     _write_out(out_dir / "synth_growth.csv", _csv_text(rows))
-    rows = [("v1", "method", "k", "mean_rel_l1")]
+    means = [("v1", "method", "k", "mean_rel_l1")]
     for (v1, method), vals in sorted(summary.items()):
-        rows.append((v1, method, args.k, _fmt(sum(vals) / len(vals))))
-    _write_out(out_dir / "synth_growth_summary.csv", _csv_text(rows))
+        means.append((v1, method, args.k, _fmt(sum(vals) / len(vals))))
+    _write_out(out_dir / "synth_growth_summary.csv", _csv_text(means))
     _note(f"synth-growth tables written to {out_dir}")
     return 0
 
