@@ -311,19 +311,19 @@ def source_chunks(n_sources: int, threads: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(threads) if bounds[i] < bounds[i + 1]]
 
 
-def _chunk_child(conn, worker, common_args: tuple, lo: int, hi: int) -> None:
+def _chunk_child(conn, worker, common_args: tuple, chunk: tuple) -> None:
     """Body of a forked chunk process: send back (True, result) or
     (False, exception)."""
     try:
-        reply = (True, worker(*common_args, lo, hi))
+        reply = (True, worker(*common_args, *chunk))
     except Exception as exc:
         reply = (False, exc)
     conn.send(reply)
     conn.close()
 
 
-def run_chunked(worker, common_args: tuple, chunks: list[tuple[int, int]]) -> list:
-    """Run `worker(*common_args, lo, hi)` over the (lo, hi) chunks, in order.
+def run_chunked(worker, common_args: tuple, chunks: list[tuple]) -> list:
+    """Run `worker(*common_args, *chunk)` for each chunk, in order.
 
     With more than one chunk, chunk 0 runs in the calling process and
     every other chunk in a forked process of its own, which sends its
@@ -335,16 +335,16 @@ def run_chunked(worker, common_args: tuple, chunks: list[tuple[int, int]]) -> li
     call.
     """
     if len(chunks) <= 1:
-        return [worker(*common_args, lo, hi) for lo, hi in chunks]
+        return [worker(*common_args, *chunk) for chunk in chunks]
     import multiprocessing
     ctx = multiprocessing.get_context("fork")
     children = []
     finished = False
     try:
-        for lo, hi in chunks[1:]:
+        for chunk in chunks[1:]:
             recv, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_chunk_child,
-                               args=(send, worker, common_args, lo, hi))
+                               args=(send, worker, common_args, chunk))
             proc.start()
             send.close()  # else a dead child's pipe never reports EOF
             children.append((proc, recv))
@@ -371,14 +371,17 @@ def run_chunked(worker, common_args: tuple, chunks: list[tuple[int, int]]) -> li
             recv.close()
 
 
-# Below this many source-edge pairs (each source times the edges of the
-# component it runs on) a forked worker costs more than it saves, so the
-# work runs as one chunk in the caller.  `exact --threads 1` vs
-# `--threads 2` with forking forced, best of 9 on a 2-vCPU Xeon VM:
-# soc-dolphins brandes (9.9k pairs) 9.7 vs 14.2 ms, peel1 (8.0k) 8.5 vs
-# 12.6 ms; cp-3000 peel1 (31k) 34 vs 38 ms; ca-CSphd peel1 (179k) 165 vs
-# 120 ms.
-FORK_MIN_WORK = 100_000
+# Below this many root-edge units (each BFS root times the edges of the
+# component it runs on; see component_chunks) a forked worker costs
+# more than it saves, so the work runs as one chunk in the caller.
+# Serial against forced two-chunk runs, in-process, best of 9 on a
+# 2-vCPU Xeon VM: soc-dolphins brandes (9.9k units) 2.4 vs 4.9 ms and
+# peel1 (8.0k) 2.9 vs 4.7 ms; cp-3000 peel1 (31k) 3.2 vs 5.6 ms, where
+# a two-chunk round trip costs more than half the kernel; ca-CSphd peel1
+# (63k) 32.5 vs 21.1 ms; rt_obama peel1 (298k) 86 vs 51 ms.  A unit's
+# cost varies with the graph (a BFS through a dense core stops early),
+# so the break-even lies between 31k and 63k units on these inputs.
+FORK_MIN_WORK = 40_000
 
 
 def _accumulate_chunk(g: Graph, sources, target, weight, anchor,
@@ -387,28 +390,70 @@ def _accumulate_chunk(g: Graph, sources, target, weight, anchor,
 
 
 def _group_ranges(groups: list[tuple[list[int], int]], lo: int, hi: int):
-    """(nodes, a, b) for each group whose sources nodes[a:b] start their
-    work units in lo..hi-1.
+    """(i, a, b) for each group i whose roots[a:b] start their work
+    units in lo..hi-1.
 
-    groups holds (nodes, edges) per component: its nodes ascending, each
-    a source worth `edges` units, laid end to end in group order, so
-    that chunks of equal units carry about equal work.
+    groups holds (roots, edges) per component: its BFS roots ascending,
+    each worth `edges` units, laid end to end in group order, so that
+    chunks of equal units carry about equal work.
     """
     first = 0
-    for nodes, edges in groups:
+    for i, (roots, edges) in enumerate(groups):
         a = max(-((first - lo) // edges), 0)
-        b = min(-((first - hi) // edges), len(nodes))
-        first += len(nodes) * edges
+        b = min(-((first - hi) // edges), len(roots))
+        first += len(roots) * edges
         if a < b:
-            yield nodes, a, b
+            yield i, a, b
 
 
-def _components_chunk(g: Graph, groups: list[tuple[list[int], int]], target,
-                      weight, anchor, lo: int, hi: int) -> list[float]:
-    """The kernel over the sources whose work units start in lo..hi-1
-    (see _group_ranges).
+def component_chunks(g: Graph, threads: int = 1, anchor=None) -> list:
+    """How accumulate_chunked(g, None, ...) splits its sources: one list
+    per chunk of (nodes, sources) for each component of at least two
+    nodes that the chunk runs, with the component's nodes ascending and
+    the chunk's sources as ascending positions in that list.
 
-    Each group runs on a compact subgraph of its own, built when
+    Components go in order of their lowest node.  One chunk runs every
+    node of each.  Several chunks split the BFS roots instead: the
+    sources whose anchor is < 0, so every source when anchor is None.
+    A root weighs the edge count of its component and a pendant nothing.
+    Each chunk takes a contiguous run of roots of about equal work, plus
+    every pendant anchored to one of them, so an anchor's row is never
+    built in two chunks.  A chunk in which no root starts is dropped, so
+    no more chunks run than there are roots.  At threads 1 the roots
+    are not counted, and below FORK_MIN_WORK units they are not split.
+    """
+    comp = g.component_ids()[0]
+    members = [[] for _ in range(max(comp, default=-1) + 1)]
+    for v, c in enumerate(comp):
+        members[c].append(v)
+    members = [nodes for nodes in members if len(nodes) > 1]
+    if threads > 1:
+        adj = g.adj
+        root = range(g.n) if anchor is None else [v if p < 0 else p
+                                                  for v, p in enumerate(anchor)]
+        groups = [([v for v in nodes if root[v] == v],
+                   sum(map(len, map(adj.__getitem__, nodes))) // 2)
+                  for nodes in members]
+        work = sum(len(roots) * edges for roots, edges in groups)
+        if work >= FORK_MIN_WORK:
+            chunks = []
+            for lo, hi in source_chunks(work, threads):
+                part = []
+                for i, a, b in _group_ranges(groups, lo, hi):
+                    roots, nodes = groups[i][0], members[i]
+                    first, last = roots[a], roots[b - 1]
+                    part.append((nodes, [j for j, v in enumerate(nodes)
+                                         if first <= root[v] <= last]))
+                if part:
+                    chunks.append(part)
+            return chunks
+    return [[(nodes, range(len(nodes))) for nodes in members]]
+
+
+def _components_chunk(g: Graph, target, weight, anchor, part) -> list[float]:
+    """The kernel over one chunk of component_chunks.
+
+    Each component runs on a compact subgraph of its own, built when
     reached; renumbering a whole component in ascending order keeps
     every adjacency list sorted and every BFS visit order.  A connected
     g is its own compact subgraph.  An anchor is a neighbour, so it
@@ -417,18 +462,18 @@ def _components_chunk(g: Graph, groups: list[tuple[list[int], int]], target,
     adj = g.adj
     pos = [0] * g.n
     acc = [0.0] * g.n
-    for nodes, a, b in _group_ranges(groups, lo, hi):
+    for nodes, sources in part:
         if len(nodes) == g.n:
-            return accumulate(g, range(a, b), target, weight, anchor)
+            return accumulate(g, sources, target, weight, anchor)
         for i, v in enumerate(nodes):
             pos[v] = i
         sub = Graph([[pos[w] for w in adj[v]] for v in nodes], nodes)
-        part = accumulate(sub, range(a, b),
-                          None if target is None else [target[v] for v in nodes],
-                          None if weight is None else [weight[v] for v in nodes],
-                          None if anchor is None else
-                          [-1 if anchor[v] < 0 else pos[anchor[v]] for v in nodes])
-        for v, x in zip(nodes, part):
+        totals = accumulate(sub, sources,
+                            None if target is None else [target[v] for v in nodes],
+                            None if weight is None else [weight[v] for v in nodes],
+                            None if anchor is None else
+                            [-1 if anchor[v] < 0 else pos[anchor[v]] for v in nodes])
+        for v, x in zip(nodes, totals):
             acc[v] = x
     return acc
 
@@ -437,54 +482,41 @@ def accumulate_chunked(g: Graph, sources=None, target=None, weight=None,
                        threads: int = 1, anchor=None) -> list[float]:
     """accumulate() over run_chunked source chunks, summed in chunk order.
 
-    `sources` None means every node of g.  The kernel then runs once per
-    connected component of at least two nodes, on a compact subgraph of
-    its own, so a source's per-node lists span only its component.  The
-    components go in order of their lowest node and each one's sources
-    ascending, so every node receives the terms that
-    accumulate(g, range(g.n)) adds to it, in the same order.  Chunks
-    split these sources by work (each source times the edges of its
-    component) rather than by count, and a chunk in which no source
-    starts is not run.  Other source lists run on g as they are, split
-    by count.
+    `sources` None means every node of g, split by component_chunks.
+    The kernel then runs once per connected component of at least two
+    nodes, on a compact subgraph of its own, so a source's per-node
+    lists span only its component.  In one chunk, the components go in
+    order of their lowest node and each one's sources ascending, so
+    every node receives the terms that accumulate(g, range(g.n)) adds
+    to it, in the same order.  Several chunks split the BFS roots by
+    work, and each pendant runs in its anchor's chunk, so every anchor's
+    BFS runs once per call whatever `threads` says.  Other source lists
+    run on g as they are, split by count, and each chunk reuses only
+    rows built within it.
 
     `anchor` goes to every chunk's accumulate (remapped into each
-    compact component), and chunk bounds do not depend on it.  A
-    pendant shares a row only with sources of its own chunk: one whose
-    anchor's other sources all run in another chunk still runs one BFS
-    there, from its anchor.  Either way no bit moves.
+    compact component); a chunk's totals with anchors are the bits of
+    the same chunk's sources without them.
 
     One chunk's partial is the result as it is; several are added
     elementwise in chunk order.  The partials are non-negative, so this
     gives the bits of adding them all into zeros.
 
-    Small inputs (fewer than FORK_MIN_WORK source-edge pairs) run as one
-    chunk whatever `threads` says, so they give the same bytes as a
-    single-threaded run.  No more chunks run than there are sources.
-    `threads` below 1 raises ValueError.
+    Small inputs (fewer than FORK_MIN_WORK units: root-edge units for
+    `sources` None, sources times g's edges for a list) run as one chunk
+    whatever `threads` says, so they give the same bytes as a
+    single-threaded run.  `threads` below 1 raises ValueError.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if sources is None:
-        comp = g.component_ids()[0]
-        members = [[] for _ in range(max(comp, default=-1) + 1)]
-        for v, c in enumerate(comp):
-            members[c].append(v)
-        adj = g.adj
-        groups = [(nodes, sum(map(len, map(adj.__getitem__, nodes))) // 2)
-                  for nodes in members if len(nodes) > 1]
-        work = sum(len(nodes) * edges for nodes, edges in groups)
-        worker, args, n_items = (_components_chunk, (g, groups, target, weight, anchor),
-                                 work)
+        worker, args = _components_chunk, (g, target, weight, anchor)
+        chunks = [(part,) for part in component_chunks(g, threads, anchor)]
     else:
-        work = len(sources) * g.m
-        worker, args, n_items = (_accumulate_chunk,
-                                 (g, sources, target, weight, anchor), len(sources))
-    if work < FORK_MIN_WORK:
-        threads = 1
-    chunks = source_chunks(n_items, threads)
-    if sources is None:
-        chunks = [(lo, hi) for lo, hi in chunks if any(_group_ranges(groups, lo, hi))]
+        if len(sources) * g.m < FORK_MIN_WORK:
+            threads = 1
+        worker, args = _accumulate_chunk, (g, sources, target, weight, anchor)
+        chunks = source_chunks(len(sources), threads)
     partials = run_chunked(worker, args, chunks)
     if not partials:
         return [0.0] * g.n

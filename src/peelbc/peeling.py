@@ -183,8 +183,10 @@ def bc_one_round_mem(g: Graph, threads: int = 1) -> BcResult:
     neighbour's dependency row (see exact.accumulate's anchor), which
     saves that many BFS runs and moves no bit.  Memory is the kernel's
     per-source lists plus one array('d') row, of the component's size,
-    per neighbour whose row a later source of the same chunk still
-    needs; `threads` splits the sources as in `brandes_exact`.
+    per neighbour whose row a later source still needs.  `threads`
+    splits the BFS roots into chunks as in `brandes_exact`, and each
+    pendant runs in its neighbour's chunk (exact.component_chunks), so
+    no chunk repeats another's BFS.
     """
     start = perf_counter()
     one = _one_round(g)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+from collections import Counter
 
 import pytest
 
@@ -32,6 +33,19 @@ def er_with_exact_pendants(n_base: int, n_total: int, p: float, seed: int) -> Gr
         edges.append((rng.randrange(n_base), nxt))
         nxt += 1
     return Graph.from_edges(n_total, edges)
+
+
+def root_edge_units(g: Graph, anchor=None) -> int:
+    """accumulate_chunked's work figure when every node of g is a
+    source: each BFS root (a node whose anchor is < 0, every node when
+    anchor is None) times the edges of its component."""
+    comp = g.component_ids()[0]
+    degrees = Counter()
+    roots = Counter()
+    for v, nbrs in enumerate(g.adj):
+        degrees[comp[v]] += len(nbrs)
+        roots[comp[v]] += anchor is None or anchor[v] < 0
+    return sum(roots[c] * degrees[c] // 2 for c in degrees)
 
 
 def corpus(count: int) -> list[Graph]:

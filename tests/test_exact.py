@@ -29,7 +29,8 @@ from peelbc.exact import (
     source_chunks,
 )
 
-from conftest import corpus_graph, er_with_exact_pendants, path_graph, preds
+from conftest import (corpus_graph, er_with_exact_pendants, path_graph, preds,
+                      root_edge_units)
 
 
 def enumeration_bc(g: Graph) -> list[float]:
@@ -198,7 +199,7 @@ class TestBrandesExact:
 
     def test_threads_agree_with_serial(self, fork_calls):
         g = er_with_exact_pendants(200, 260, 0.05, seed=7)
-        assert g.n * g.m >= FORK_MIN_WORK
+        assert root_edge_units(g) >= FORK_MIN_WORK
         serial = brandes_exact(g, threads=1).bc
         assert fork_calls == []
         parallel = brandes_exact(g, threads=2).bc
@@ -207,8 +208,8 @@ class TestBrandesExact:
         assert brandes_exact(g, threads=2).bc == parallel  # same-settings determinism
 
     def test_threads_past_sources_fork_no_empty_chunk(self, monkeypatch):
-        # 4 sources times 3 edges split into 8 chunks of work units: only
-        # the chunks at units 0, 3, 6 and 9 start a source.
+        # 4 roots times 3 edges split into 8 chunks of work units: only
+        # the chunks at units 0, 3, 6 and 9 start a root.
         g = path_graph(4)
         serial = brandes_exact(g, threads=1).bc
         monkeypatch.setattr(peelbc.exact, "FORK_MIN_WORK", 0)

@@ -38,7 +38,8 @@ from peelbc import (
     source_dependency,
     sssp_bfs,
 )
-from peelbc.exact import _normalizer, accumulate_chunked, pendant_anchors
+from peelbc.exact import (_normalizer, accumulate_chunked, component_chunks,
+                          pendant_anchors)
 from peelbc.peeling import _add_pendant_terms, _full_peel, _one_round
 
 from conftest import corpus, diamond_chain, preds
@@ -415,7 +416,9 @@ def test_anchored_kernel_keeps_every_bit(graphs):
 @pytest.mark.parametrize("threads", [2, 3])
 def test_anchored_chunks_keep_every_bit(threads, monkeypatch):
     """Forked chunks, each with its own row cache, give the bits of the
-    same chunks without anchors, over components and over a source list."""
+    same chunks' sources run without anchors and summed in chunk order.
+    Over components, component_chunks gives each chunk its roots and
+    the pendants anchored to them; a source list splits as it is."""
     monkeypatch.setattr(peelbc.exact, "FORK_MIN_WORK", 0)
     for seed, (label, g) in enumerate(SPLIT_CASES):
         one = _one_round(g)
@@ -423,13 +426,26 @@ def test_anchored_chunks_keep_every_bit(threads, monkeypatch):
         anchor = pendant_anchors(sub)
         if anchor is None:
             continue
+        chunks = [[nodes[j] for nodes, sources in part for j in sources]
+                  for part in component_chunks(sub, threads, anchor)]
+        assert len(chunks) > 1, label
+        assert sorted(sum(chunks, [])) == [v for v in range(sub.n) if sub.adj[v]]
+        for chunk in chunks:
+            assert {anchor[s] for s in chunk if anchor[s] >= 0} <= set(chunk), label
+        for weight in (None, one.weight):
+            got = accumulate_chunked(sub, None, weight, weight, threads=threads,
+                                     anchor=anchor)
+            want = accumulate(sub, chunks[0], weight, weight)
+            for chunk in chunks[1:]:
+                want = [x + y for x, y in
+                        zip(want, accumulate(sub, chunk, weight, weight))]
+            assert got == want, label
         sources = _anchor_orders(anchor, seed)["pendants-last"]
-        for src in (None, sources):
-            for weight in (None, one.weight):
-                got = accumulate_chunked(sub, src, weight, weight, threads=threads,
-                                         anchor=anchor)
-                want = accumulate_chunked(sub, src, weight, weight, threads=threads)
-                assert got == want, label
+        for weight in (None, one.weight):
+            got = accumulate_chunked(sub, sources, weight, weight, threads=threads,
+                                     anchor=anchor)
+            want = accumulate_chunked(sub, sources, weight, weight, threads=threads)
+            assert got == want, label
 
 
 @pytest.fixture
@@ -457,6 +473,25 @@ def test_peel1_pendants_skip_their_bfs(name, sources, pendants, bfs_calls):
     assert sum(p >= 0 for p in pendant_anchors(sub)) == pendants
     bc_one_round_mem(g, threads=1)
     assert len(bfs_calls) == sources - pendants
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("name, runs", [("rt_obama", 350), ("ca-CSphd", 150)])
+def test_peel1_chunks_repeat_no_bfs(name, runs, threads, bfs_calls, monkeypatch):
+    """Split across chunks, peel1 runs as many BFS as in one chunk: each
+    pendant runs in its anchor's chunk.  The chunks run in-process here,
+    so that the spy sees every one."""
+    ran = []
+
+    def in_process(worker, common_args, chunks):
+        ran.append(len(chunks))
+        return [worker(*common_args, *chunk) for chunk in chunks]
+
+    monkeypatch.setattr(peelbc.exact, "FORK_MIN_WORK", 0)
+    monkeypatch.setattr(peelbc.exact, "run_chunked", in_process)
+    bc_one_round_mem(load_fixture(name), threads=threads)
+    assert ran == [threads]
+    assert len(bfs_calls) == runs
 
 
 def test_brandes_runs_one_bfs_per_source(bfs_calls):

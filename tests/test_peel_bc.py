@@ -11,7 +11,7 @@ from peelbc import (
     oracle_sigma,
     sssp_bfs,
 )
-from peelbc.exact import FORK_MIN_WORK, pair_counts_through
+from peelbc.exact import FORK_MIN_WORK, pair_counts_through, pendant_anchors
 from peelbc.peeling import _full_peel, _one_round
 
 from conftest import (
@@ -21,6 +21,7 @@ from conftest import (
     path_graph,
     peeling_cases,
     preds,
+    root_edge_units,
 )
 from dense_recurrence import two_core_sigma_rounds
 
@@ -134,12 +135,13 @@ class TestOneRoundMem:
     def test_threads_agree_with_serial(self, algorithm, set_up, fork_calls):
         g = er_with_exact_pendants(200, 260, 0.05, seed=13)
         sub = set_up(g).sub
-        assert sub.n * sub.m >= FORK_MIN_WORK
+        assert root_edge_units(sub, pendant_anchors(sub)) >= FORK_MIN_WORK
         serial = algorithm(g, threads=1).bc
         assert fork_calls == []
         parallel = algorithm(g, threads=2).bc
         assert fork_calls == ["fork"]
         assert parallel == pytest.approx(serial, abs=1e-12)
+        assert algorithm(g, threads=2).bc == parallel  # same-settings determinism
 
     def test_k2_and_isolated_components(self):
         # K2 + isolated node + pendant triangle mixed in one graph
