@@ -223,17 +223,16 @@ def cmd_exact(args) -> int:
     return 0
 
 
-def _estimate(method: str, g: Graph, k: int, seed: int,
-              exact_y_sources: bool = False) -> BcResult:
+def _estimate(method: str, g: Graph, k: int, seed: int) -> BcResult:
     cfg = SampleConfig(k=k, seed=seed)
     if method == "baseline":
         return sample_bc_baseline(g, cfg)
-    return sample_bc_peeled(g, cfg, exact_y_sources=exact_y_sources)
+    return sample_bc_peeled(g, cfg)
 
 
 def cmd_sample(args) -> int:
     g = read_graph(args.input, fmt=args.input_format)
-    result = _estimate(args.method, g, args.k, args.seed, args.exact_y_sources)
+    result = _estimate(args.method, g, args.k, args.seed)
     _note(f"{result.algorithm}: {result.elapsed:.3f}s k={args.k} seed={args.seed}")
     rel = None
     if args.truth:
@@ -385,9 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="pivot count")
     p.add_argument("--seed", type=_seed_value, default=0)
     p.add_argument("--method", choices=("baseline", "peeled"), default="peeled")
-    p.add_argument("--exact-y-sources", action="store_true",
-                   help="peeled method only: solve pendant-anchor sources "
-                        "exactly and sample the rest")
     p.add_argument("--truth", default=None,
                    help="score CSV to compute the relative l1 error against")
     p.set_defaults(func=cmd_sample)

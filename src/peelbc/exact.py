@@ -384,9 +384,9 @@ def run_chunked(worker, common_args: tuple, chunks: list[tuple]) -> list:
 FORK_MIN_WORK = 40_000
 
 
-def _accumulate_chunk(g: Graph, sources, target, weight, anchor,
+def _accumulate_chunk(g: Graph, sources, weight, anchor,
                       lo: int, hi: int) -> list[float]:
-    return accumulate(g, sources[lo:hi], target, weight, anchor)
+    return accumulate(g, sources[lo:hi], weight, weight, anchor)
 
 
 def _group_ranges(groups: list[tuple[list[int], int]], lo: int, hi: int):
@@ -450,7 +450,7 @@ def component_chunks(g: Graph, threads: int = 1, anchor=None) -> list:
     return [[(nodes, range(len(nodes))) for nodes in members]]
 
 
-def _components_chunk(g: Graph, target, weight, anchor, part) -> list[float]:
+def _components_chunk(g: Graph, weight, anchor, part) -> list[float]:
     """The kernel over one chunk of component_chunks.
 
     Each component runs on a compact subgraph of its own, built when
@@ -464,13 +464,12 @@ def _components_chunk(g: Graph, target, weight, anchor, part) -> list[float]:
     acc = [0.0] * g.n
     for nodes, sources in part:
         if len(nodes) == g.n:
-            return accumulate(g, sources, target, weight, anchor)
+            return accumulate(g, sources, weight, weight, anchor)
         for i, v in enumerate(nodes):
             pos[v] = i
         sub = Graph([[pos[w] for w in adj[v]] for v in nodes], nodes)
-        totals = accumulate(sub, sources,
-                            None if target is None else [target[v] for v in nodes],
-                            None if weight is None else [weight[v] for v in nodes],
+        sub_weight = None if weight is None else [weight[v] for v in nodes]
+        totals = accumulate(sub, sources, sub_weight, sub_weight,
                             None if anchor is None else
                             [-1 if anchor[v] < 0 else pos[anchor[v]] for v in nodes])
         for v, x in zip(nodes, totals):
@@ -478,9 +477,12 @@ def _components_chunk(g: Graph, target, weight, anchor, part) -> list[float]:
     return acc
 
 
-def accumulate_chunked(g: Graph, sources=None, target=None, weight=None,
+def accumulate_chunked(g: Graph, sources=None, weight=None,
                        threads: int = 1, anchor=None) -> list[float]:
     """accumulate() over run_chunked source chunks, summed in chunk order.
+
+    The one `weight` list is both accumulate's target term and its
+    source weight (1 + T on the peeled paths); None means 1.0 for both.
 
     `sources` None means every node of g, split by component_chunks.
     The kernel then runs once per connected component of at least two
@@ -510,12 +512,12 @@ def accumulate_chunked(g: Graph, sources=None, target=None, weight=None,
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if sources is None:
-        worker, args = _components_chunk, (g, target, weight, anchor)
+        worker, args = _components_chunk, (g, weight, anchor)
         chunks = [(part,) for part in component_chunks(g, threads, anchor)]
     else:
         if len(sources) * g.m < FORK_MIN_WORK:
             threads = 1
-        worker, args = _accumulate_chunk, (g, sources, target, weight, anchor)
+        worker, args = _accumulate_chunk, (g, sources, weight, anchor)
         chunks = source_chunks(len(sources), threads)
     partials = run_chunked(worker, args, chunks)
     if not partials:

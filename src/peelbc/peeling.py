@@ -158,8 +158,7 @@ def _peeled_scores(g: Graph, one: _Peeled, pivots=None, scale: float = 1.0,
     bc = [0.0] * g.n
     if g.n > 2:
         weight = one.weight if any(one.T) else None
-        acc = accumulate_chunked(one.sub, pivots, target=weight, weight=weight,
-                                 threads=threads,
+        acc = accumulate_chunked(one.sub, pivots, weight, threads=threads,
                                  anchor=None if pivots is not None
                                  else pendant_anchors(one.sub))
         if scale != 1.0:

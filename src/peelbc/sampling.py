@@ -17,7 +17,7 @@ from time import perf_counter
 from .exact import BcResult, _normalizer, accumulate_chunked
 from .exact import sssp_bfs  # noqa: F401  (bound here for the benchmark's tracer)
 from .graph import Graph
-from .peeling import _add_pendant_terms, _one_round, _peeled_scores
+from .peeling import _one_round, _peeled_scores
 
 
 @dataclass(frozen=True)
@@ -73,20 +73,14 @@ def sample_bc_baseline(g: Graph, cfg: SampleConfig) -> BcResult:
                     elapsed=perf_counter() - start)
 
 
-def sample_bc_peeled(
-    g: Graph, cfg: SampleConfig, exact_y_sources: bool = False
-) -> BcResult:
+def sample_bc_peeled(g: Graph, cfg: SampleConfig) -> BcResult:
     """Estimate betweenness with pivots drawn after one peeling round.
 
     Draws k distinct pivots among the survivors, runs the one-round
     set-up's kernel from them and rescales by survivors/k; the pendant
     terms are added in closed form.  When k reaches the survivor count
     the run is bc_one_round_mem's exact one, bit-for-bit, and the result
-    carries k = seed = None.  With exact_y_sources the pendant-anchor
-    sources are solved exactly and sampling covers only the unweighted
-    part of the survivor sum (rescaled by survivors/k); this
-    refinement trades extra SSSP runs for variance when few nodes hold
-    pendants.
+    carries k = seed = None.
     """
     start = perf_counter()
     one = _one_round(g)
@@ -97,30 +91,20 @@ def sample_bc_peeled(
         k = seed = None
     else:
         pivots = random.Random(seed).sample(range(nt), k)
-        if not exact_y_sources:
-            bc = _peeled_scores(g, one, pivots, nt / k)
-        else:
-            bc = [0.0] * g.n
-            if g.n > 2:
-                deg1_sub = [one.T[v] for v in one.kept]
-                y_sources = [i for i, d in enumerate(deg1_sub) if d > 0]
-                exact_acc = accumulate_chunked(one.sub, y_sources, one.weight, deg1_sub)
-                sampled_acc = accumulate_chunked(one.sub, pivots, one.weight)
-                scale = nt / k
-                total = [e + scale * s for e, s in zip(exact_acc, sampled_acc)]
-                _add_pendant_terms(bc, one, total)
-    algorithm = "sample-peeled-ysplit" if exact_y_sources else "sample-peeled"
-    return BcResult(bc=bc, algorithm=algorithm, k=k, seed=seed,
+        bc = _peeled_scores(g, one, pivots, nt / k)
+    return BcResult(bc=bc, algorithm="sample-peeled", k=k, seed=seed,
                     elapsed=perf_counter() - start, peeled=one.decomp)
 
 
 def recommended_pivots(n_tilde, epsilon: float) -> int:
-    """Pivot count ceil(ln(survivors) / epsilon^2) for the peeled estimator.
+    """Pivot count ceil(ln(survivors) / epsilon^2) for sample_bc_peeled.
 
-    Guarantee (for graphs whose pendant-anchor set is comparably small,
-    with those anchors handled exactly): additive error
-    epsilon * (survivors - 1)/(n - 1) for every node with probability at
-    least 1 - 1/survivors.  This helper only sizes the uniform sample.
+    The uniform-pivot rule ln(N) / epsilon^2 (Eppstein & Wang, as used
+    by Brandes & Pich 2007), with N the survivor count, the population
+    sample_bc_peeled draws from.  It sizes the sample but bounds no
+    error: each pivot's term carries its weight 1 + T, which the
+    unweighted rule does not account for (bernstein_pivot_bound does,
+    coarsely).
     """
     if n_tilde < 2:
         raise ValueError(f"survivor count must be >= 2, got {n_tilde}")

@@ -313,6 +313,15 @@ class TestSample:
         assert main(["sample", star_file, "--k", "1", "--truth", str(truth)]) == 1
         assert "node set" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["peeled", "baseline"])
+    def test_retired_exact_y_sources_flag_is_a_usage_error(self, method, tmp_path):
+        out = tmp_path / "scores.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", DOLPHINS, "--method", method, "--k", "5",
+                  "--exact-y-sources", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestStats:
     def test_path_p5(self, p5_file, tmp_path):
@@ -402,13 +411,12 @@ class TestRunRecord:
         (["exact", "--algorithm", "peel1", "--threads", "1"], "json", 1),
         (["exact", "--algorithm", "brandes", "--threads", "1"], "json", 1),
         (["sample", "--method", "peeled", "--k", "5"], "json", 1),
-        (["sample", "--method", "peeled", "--k", "5", "--exact-y-sources"], "json", 1),
-        (["sample", "--method", "peeled", "--k", "62", "--exact-y-sources"], "json", 1),
+        (["sample", "--method", "peeled", "--k", "62"], "json", 1),
         (["exact", "--algorithm", "peel1", "--threads", "1"], "csv", 1),
         (["exact", "--algorithm", "brandes", "--threads", "1"], "csv", 0),
         (["sample", "--method", "peeled", "--k", "5"], "csv", 1),
         (["sample", "--method", "baseline", "--k", "5"], "csv", 0),
-    ], ids=["peel1", "brandes", "peeled", "ysplit", "ysplit-exact",
+    ], ids=["peel1", "brandes", "peeled", "peeled-exact",
             "peel1-csv", "brandes-csv", "peeled-csv", "baseline-csv"])
     def test_one_peel_per_call(self, argv, fmt, peels, monkeypatch, tmp_path):
         """A JSON run record reuses the algorithm's peel, and a call that

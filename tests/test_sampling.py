@@ -95,31 +95,8 @@ class TestPeeled:
         assert report.rel_l1 == pytest.approx(0.2, abs=1e-12)
         assert report.max_abs == pytest.approx(1 / 3, abs=1e-12)
 
-    def test_exact_y_sources_variant(self):
-        g = er_with_exact_pendants(20, 40, 0.2, seed=12)
-        nt = sum(1 for v in range(g.n) if g.degree(v) != 1)
-        exact = bc_one_round_mem(g).bc
-        # oversized k falls back to the exact run
-        assert sample_bc_peeled(g, SampleConfig(k=nt), exact_y_sources=True).bc == exact
-        # sampled variant is deterministic and roughly centered
-        cfg = SampleConfig(k=5, seed=3)
-        a = sample_bc_peeled(g, cfg, exact_y_sources=True)
-        b = sample_bc_peeled(g, cfg, exact_y_sources=True)
-        assert a.bc == b.bc
-        means = [
-            statistics.fmean(
-                sample_bc_peeled(g, SampleConfig(k=5, seed=s), exact_y_sources=True).bc[v]
-                for s in range(60)
-            )
-            for v in range(g.n)
-        ]
-        top = max(range(g.n), key=lambda v: exact[v])
-        assert means[top] == pytest.approx(exact[top], rel=0.35)
-
-
 class TestUnbiasedness:
-    @pytest.mark.parametrize("exact_y_sources", [False, True], ids=["plain", "ysplit"])
-    def test_mean_over_every_pivot_set_is_exact(self, exact_y_sources, monkeypatch):
+    def test_mean_over_every_pivot_set_is_exact(self, monkeypatch):
         """The estimate averaged over every k-subset of the survivors is
         the exact one-round score, for each k below the survivor count."""
         # survivors 0-4 (4 keeps pendant 5) and the triangle 9-11; two
@@ -143,10 +120,7 @@ class TestUnbiasedness:
                     return list(next(draws))
 
             monkeypatch.setattr(peelbc.sampling, "random", SimpleNamespace(Random=EachSubset))
-            runs = [
-                sample_bc_peeled(g, SampleConfig(k=k), exact_y_sources=exact_y_sources).bc
-                for _ in subsets
-            ]
+            runs = [sample_bc_peeled(g, SampleConfig(k=k)).bc for _ in subsets]
             assert next(draws, None) is None
             means = [statistics.fmean(values) for values in zip(*runs)]
             assert means == pytest.approx(exact, rel=1e-12, abs=0)

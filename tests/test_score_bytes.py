@@ -1,7 +1,6 @@
 """Pinned output bytes: the sha256 of the JSON and CSV score files of
-each exact algorithm (--threads 1) and each sampler (--k 10 --seed 0,
-the peeled one also with --exact-y-sources, in JSON only), and of the
-stats table in JSON and CSV, on three bundled fixtures.  Output sent to
+each exact algorithm (--threads 1) and each sampler (--k 10 --seed 0),
+and of the stats table in JSON and CSV, on three bundled fixtures.  Output sent to
 stdout must be the same bytes as the --out file.
 
 Speed work on the kernel (component passes, anchor reuse) must not move
@@ -31,8 +30,6 @@ RUNS = {
     "2core-recurrence": ["exact", "--algorithm", "2core-recurrence", "--threads", "1"],
     "sample-peeled": ["sample", "--method", "peeled", "--k", "10", "--seed", "0"],
     "sample-baseline": ["sample", "--method", "baseline", "--k", "10", "--seed", "0"],
-    "sample-peeled-ysplit": ["sample", "--method", "peeled", "--exact-y-sources",
-                             "--k", "10", "--seed", "0"],
     "stats-json": ["stats"],
     "stats-csv": ["stats", "--format", "csv"],
 }
@@ -50,8 +47,6 @@ DIGESTS = {
         "1de0e85cbec229819c390e926f305487d557cd728dd9a3593ce8ba07cf15d829",
     ("rt_obama", "sample-baseline"):
         "f489fe802e53dbc4bd2fece3a4688af26dc78e4bb809bd6716e5b80cf42c6307",
-    ("rt_obama", "sample-peeled-ysplit"):
-        "e12bda8c9723347e09b442847fca1e6179f238d3c2047372aa08e52dafd9ee57",
     ("rt_obama", "stats-json"):
         "8de0e8a7c9c792a9eaa4d19a86340f174124e322737c60fd0eb139ab62012c66",
     ("rt_obama", "stats-csv"):
@@ -74,8 +69,6 @@ DIGESTS = {
         "750ec7bd11ad9f95c1ecade05d6bde789c17b44b3725ac7c3dd3b94543d8b023",
     ("ca-CSphd", "sample-baseline"):
         "69faae3f97e166c80104910893547c7da4dc0e28fb75b011bd3771495887678f",
-    ("ca-CSphd", "sample-peeled-ysplit"):
-        "576bb13d030d1a948a0492214d261127e71ee4dcb78bffbd8e8c32745068c12a",
     ("ca-CSphd", "stats-json"):
         "1a48efc070879e2a9e5db23341679e84eef3c08a71caa7a24e3cf8125ad90215",
     ("ca-CSphd", "stats-csv"):
@@ -99,8 +92,6 @@ DIGESTS = {
         "0a9e3f30c90ea0663ab30eef748f23dd40a6f66c29ec68d2173e3e6c71cb0665",
     ("soc-dolphins", "sample-baseline"):
         "20c1d7a13a55f1324bdb2404733aa23c37ce73cfbc0263dd99b1075c46100845",
-    ("soc-dolphins", "sample-peeled-ysplit"):
-        "c09aa98ebde0a575e5d1310a1ab0cbc85deb8592a858cd4d57ed167d736db278",
     ("soc-dolphins", "stats-json"):
         "1a5a56997fc04b1b4f13d5301ccd16a40fe1bab379592ee7993d46a19942563e",
     ("soc-dolphins", "stats-csv"):
