@@ -7,17 +7,17 @@ oracle_bc) recomputes everything from per-source BFS distance and
 path-count matrices and serves as ground truth for the rest of the
 package; it is deliberately independent of the kernel it checks.  The
 oracles are the only code here that uses numpy, and they import it when
-called, so scoring through the kernel never loads it.  multiprocessing
-likewise loads only when run_chunked forks, and array only when the
-kernel is given pendant anchors.
+called, so scoring through the kernel never loads it.  pickle and
+signal likewise load only when run_chunked forks; multiprocessing never
+does.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -187,22 +187,21 @@ def accumulate(g: Graph, sources, target=None, weight=None,
     None, it adds 1.0 + psi and psi directly.  Both give the same floats
     as the general form, since x + 0.0 == x and x * 1 == x.
 
-    anchor (see pendant_anchors) lets a pendant source reuse its
-    neighbour's row.  When anchor[s] = p >= 0, s's only neighbour is p
+    anchor (see pendant_anchors) lets a pendant source ride its
+    neighbour's BFS.  When anchor[s] = p >= 0, s's only neighbour is p
     and p has others, so a BFS from s is p's BFS one level deeper: the
     same path counts, and p's levels from 1 on without s, in the same
-    order.  s's turn therefore runs the body from p with s's weight,
-    which adds ws * psi_p[w] to every other node w, the term a BFS from
-    s adds (psi_p[s] is 0.0, and x + 0.0 == x), and then adds ws * x to
-    p, where x sums target[c] + psi_p[c] over p's level 1 without s in
-    reverse visit order, as a BFS from s sums it into psi_s[p].  When p's
-    row serves a later source of the same call too (p itself or another
-    of its pendants), it is kept, with entry p zeroed, as an array('d')
-    beside p's reversed level 1, and that source adds ws * row to the
-    totals elementwise instead of running a BFS; the row goes once its
-    last such source has run.  So every total gets the same terms in the
-    same order as without anchors, bit for bit, and the call holds one
-    row per anchor with a pending use on top of the per-source lists.
+    order.  The sources therefore run in groups, one per BFS root p: p
+    if it is a source, and every source anchored to p, in source order,
+    the group taking the place of its first member.  One BFS from p
+    serves the group: its backward pass adds ws * psi_p[w] to every
+    other node w for each member s in turn, the term a BFS from s adds
+    (psi_p[s] is 0.0, and x + 0.0 == x), and then each pendant member
+    adds ws * x to p, where x sums target[c] + psi_p[c] over p's level
+    1 without s in reverse visit order, as a BFS from s sums it into
+    psi_s[p].  So the totals are the bits of the kernel without anchors
+    run over the sources in group order, and the call holds no more
+    than one source's lists at a time.
     """
     n = g.n
     adj = g.adj
@@ -211,87 +210,96 @@ def accumulate(g: Graph, sources, target=None, weight=None,
         target = [1.0] * n
     acc = [0.0] * n
     if anchor is None:
-        runs = sources
+        groups = zip(sources, repeat(None))
     else:
-        from array import array  # loaded only when rows can be kept
-        sources = list(sources)
-        runs = [s if anchor[s] < 0 else anchor[s] for s in sources]
-        pending = Counter(runs)
-    rows = {}  # anchor: (its row, entry p zeroed; its level 1 reversed)
-    for s, p in zip(sources, runs):
-        ws = 1.0 if weight is None else weight[s]
-        cached = rows.get(p)
-        if cached is None:
-            tree = sssp_bfs(g, p)
-            dist = tree.dist
-            sigma = tree.sigma
-            levels = tree.levels
-            first_pred = tree.first_pred
-            top = len(levels) - 1
-            if not top:  # the source reaches nothing
-                continue
-            psi = [0.0] * n
-            up = top - 1
-            for w in reversed(levels[top]):
-                sw = sigma[w]
-                coeff = target[w] / sw
-                v = first_pred[w]
-                sv = sigma[v]
-                if sv == sw:  # one DAG parent
-                    psi[v] += sv * coeff
-                else:
-                    for v in adj[w]:
-                        if dist[v] == up:
-                            psi[v] += sigma[v] * coeff
-            # levels[0] holds the source, which depends on nothing
-            for up in range(top - 2, -1, -1):
-                if unit:
-                    for w in reversed(levels[up + 1]):
-                        pw = psi[w]
-                        sw = sigma[w]
-                        coeff = (1.0 + pw) / sw
-                        v = first_pred[w]
-                        sv = sigma[v]
-                        if sv == sw:  # one DAG parent
-                            psi[v] += sv * coeff
-                        else:
-                            for v in adj[w]:
-                                if dist[v] == up:
-                                    psi[v] += sigma[v] * coeff
-                        acc[w] += pw
-                else:
-                    for w in reversed(levels[up + 1]):
-                        pw = psi[w]
-                        sw = sigma[w]
-                        coeff = (target[w] + pw) / sw
-                        v = first_pred[w]
-                        sv = sigma[v]
-                        if sv == sw:  # one DAG parent
-                            psi[v] += sv * coeff
-                        else:
-                            for v in adj[w]:
-                                if dist[v] == up:
-                                    psi[v] += sigma[v] * coeff
-                        acc[w] += ws * pw
-            if anchor is None:
-                continue
-            near = levels[1][::-1]
-            if pending[p] > 1:
-                row = array("d", psi)
-                row[p] = 0.0
-                rows[p] = row, near
+        groups = {}
+        for s in sources:
+            p = anchor[s]
+            groups.setdefault(s if p < 0 else p, []).append(s)
+        groups = groups.items()
+    for p, members in groups:
+        tree = sssp_bfs(g, p)
+        dist = tree.dist
+        sigma = tree.sigma
+        levels = tree.levels
+        first_pred = tree.first_pred
+        top = len(levels) - 1
+        if not top:  # the source reaches nothing
+            continue
+        psi = [0.0] * n
+        up = top - 1
+        for w in reversed(levels[top]):
+            sw = sigma[w]
+            coeff = target[w] / sw
+            v = first_pred[w]
+            sv = sigma[v]
+            if sv == sw:  # one DAG parent
+                psi[v] += sv * coeff
+            else:
+                for v in adj[w]:
+                    if dist[v] == up:
+                        psi[v] += sigma[v] * coeff
+        if members is None:  # no anchors: p is the one source
+            ws = 1.0 if weight is None else weight[p]
+            riders = False
         else:
-            psi, near = cached
-            acc = list(map(operator.add, acc, map(operator.mul, repeat(ws), psi)))
-        if s != p:  # what a BFS from s adds into psi_s[p]
-            x = 0.0
-            for c in near:
-                if c != s:
-                    x += target[c] + psi[c]
-            acc[p] += ws * x
-        pending[p] -= 1
-        if not pending[p]:
-            rows.pop(p, None)
+            weights = [1.0 if weight is None else weight[s] for s in members]
+            ws = weights[0]
+            riders = len(weights) > 1
+        # levels[0] holds the source, which depends on nothing
+        for up in range(top - 2, -1, -1):
+            if riders:
+                for w in reversed(levels[up + 1]):
+                    pw = psi[w]
+                    sw = sigma[w]
+                    coeff = (target[w] + pw) / sw
+                    v = first_pred[w]
+                    sv = sigma[v]
+                    if sv == sw:  # one DAG parent
+                        psi[v] += sv * coeff
+                    else:
+                        for v in adj[w]:
+                            if dist[v] == up:
+                                psi[v] += sigma[v] * coeff
+                    for wt in weights:
+                        acc[w] += wt * pw
+            elif unit:
+                for w in reversed(levels[up + 1]):
+                    pw = psi[w]
+                    sw = sigma[w]
+                    coeff = (1.0 + pw) / sw
+                    v = first_pred[w]
+                    sv = sigma[v]
+                    if sv == sw:  # one DAG parent
+                        psi[v] += sv * coeff
+                    else:
+                        for v in adj[w]:
+                            if dist[v] == up:
+                                psi[v] += sigma[v] * coeff
+                    acc[w] += pw
+            else:
+                for w in reversed(levels[up + 1]):
+                    pw = psi[w]
+                    sw = sigma[w]
+                    coeff = (target[w] + pw) / sw
+                    v = first_pred[w]
+                    sv = sigma[v]
+                    if sv == sw:  # one DAG parent
+                        psi[v] += sv * coeff
+                    else:
+                        for v in adj[w]:
+                            if dist[v] == up:
+                                psi[v] += sigma[v] * coeff
+                    acc[w] += ws * pw
+        if members is None:
+            continue
+        for s, ws in zip(members, weights):
+            if s != p:  # what a BFS from s adds into psi_s[p]
+                x = 0.0
+                for c in reversed(levels[1]):
+                    if c != s:
+                        x += target[c] + psi[c]
+                acc[p] += ws * x
     return acc
 
 
@@ -305,88 +313,113 @@ def _normalizer(n: int) -> float:
 
 
 def source_chunks(n_sources: int, threads: int) -> list[tuple[int, int]]:
-    """Contiguous source ranges, one per worker; stable for a given split."""
+    """Up to `threads` contiguous ranges that cover range(n_sources) in
+    parts of about equal length, none empty; stable for a given split.
+    They cut sources per worker, work units into blocks, and blocks
+    into chunks."""
     threads = max(1, min(threads, n_sources)) if n_sources else 1
     bounds = [round(i * n_sources / threads) for i in range(threads + 1)]
     return [(bounds[i], bounds[i + 1]) for i in range(threads) if bounds[i] < bounds[i + 1]]
 
 
-def _chunk_child(conn, worker, common_args: tuple, chunk: tuple) -> None:
-    """Body of a forked chunk process: send back (True, result) or
-    (False, exception)."""
+def _chunk_child(send: int, worker, common_args: tuple, chunk: tuple):
+    """Body of a forked chunk process: write (True, result) or (False,
+    exception), pickled, to the pipe end `send`, then exit at once, so
+    the child never returns into its caller's stack.  The exit code is
+    0 only once the whole reply is written."""
+    import pickle
+    code = 1
     try:
-        reply = (True, worker(*common_args, *chunk))
-    except Exception as exc:
-        reply = (False, exc)
-    conn.send(reply)
-    conn.close()
+        try:
+            reply = (True, worker(*common_args, *chunk))
+        except Exception as exc:
+            reply = (False, exc)
+        with open(send, "wb") as pipe:
+            pipe.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run_chunked(worker, common_args: tuple, chunks: list[tuple]) -> list:
     """Run `worker(*common_args, *chunk)` for each chunk, in order.
 
     With more than one chunk, chunk 0 runs in the calling process and
-    every other chunk in a forked process of its own, which sends its
-    result back over a one-way pipe; multiprocessing is imported only
-    then.  Partial results come back in chunk order so the caller's
-    reduction order is fixed regardless of scheduling.  An exception
+    every other chunk in a process of its own, made by os.fork, which
+    writes its pickled result to a pipe; the caller reads the results
+    in chunk order, so the caller's reduction order is fixed regardless
+    of scheduling, and reaps each child with os.waitpid.  An exception
     raised in a chunk is re-raised here; a chunk process that dies
     without a result raises RuntimeError.  No chunk process outlives the
-    call.
+    call: when the call fails, those not yet reaped are killed and
+    reaped.
     """
     if len(chunks) <= 1:
         return [worker(*common_args, *chunk) for chunk in chunks]
-    import multiprocessing
-    ctx = multiprocessing.get_context("fork")
-    children = []
-    finished = False
+    import pickle
+    import signal
+    procs = []  # (pid, read end) of each chunk process not yet reaped
     try:
         for chunk in chunks[1:]:
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_chunk_child,
-                               args=(send, worker, common_args, chunk))
-            proc.start()
-            send.close()  # else a dead child's pipe never reports EOF
-            children.append((proc, recv))
-        results = [worker(*common_args, *chunks[0])]
-        for proc, recv in children:
+            recv, send = os.pipe()
             try:
-                ok, value = recv.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"chunk process exited with code {proc.exitcode} "
-                    "before sending its result"
-                ) from None
+                pid = os.fork()
+                if not pid:
+                    _chunk_child(send, worker, common_args, chunk)
+            except BaseException:
+                os.close(recv)
+                raise
+            finally:
+                os.close(send)  # else a dead child's pipe never reports EOF
+            procs.append((pid, recv))
+        results = [worker(*common_args, *chunks[0])]
+        while procs:
+            pid, recv = procs[0]
+            with open(recv, "rb", closefd=False) as pipe:
+                reply = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del procs[0]
+            os.close(recv)
+            if code:
+                raise RuntimeError(f"chunk process exited with code {code} "
+                                   "before sending its result")
+            ok, value = pickle.loads(reply)
             if not ok:
                 raise value
             results.append(value)
-        finished = True
         return results
     finally:
-        for proc, recv in children:
-            if not finished and proc.is_alive():
-                proc.terminate()
-            proc.join()
-            recv.close()
+        for pid, recv in procs:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(recv)
 
 
 # Below this many root-edge units (each BFS root times the edges of the
 # component it runs on; see component_chunks) a forked worker costs
-# more than it saves, so the work runs as one chunk in the caller.
-# Serial against forced two-chunk runs, in-process, best of 9 on a
-# 2-vCPU Xeon VM: soc-dolphins brandes (9.9k units) 2.4 vs 4.9 ms and
-# peel1 (8.0k) 2.9 vs 4.7 ms; cp-3000 peel1 (31k) 3.2 vs 5.6 ms, where
-# a two-chunk round trip costs more than half the kernel; ca-CSphd peel1
-# (63k) 32.5 vs 21.1 ms; rt_obama peel1 (298k) 86 vs 51 ms.  A unit's
-# cost varies with the graph (a BFS through a dense core stops early),
-# so the break-even lies between 31k and 63k units on these inputs.
+# more than it saves, so the work runs as one block in the caller.
+# Serial against forced two-chunk (two-block) runs with os.fork
+# workers, in-process, best of 36 over two alternating sessions on a
+# 2-vCPU Xeon VM: soc-dolphins brandes (9.9k units) 2.9 vs 4.4 ms and
+# peel1 (8.0k) 3.4 vs 4.2 ms; cp-3000 peel1 (31k) 3.7 vs 5.9 ms, where
+# a two-chunk round trip costs more than half the kernel; ca-CSphd
+# 2-core (22.5k) 12.4 vs 10.9 ms; ca-CSphd peel1 (63k) 33.9 vs 26.3 ms;
+# rt_obama peel1 (298k) 103 vs 69 ms.  A unit's cost varies with the
+# graph (a BFS through a dense core stops early, a long cycle does
+# not), so the break-even lies between 22.5k and 63k units on these
+# inputs, and above 31k on the trees of cp-3000.
 FORK_MIN_WORK = 40_000
+
+# component_chunks cuts the work into ceil(units / FORK_MIN_WORK)
+# blocks of about equal units, but never more than this many: enough to
+# share out between a few workers, few enough that folding one partial
+# per block stays cheap next to the kernel.
+MAX_BLOCKS = 24
 
 
 def _accumulate_chunk(g: Graph, sources, weight, anchor,
-                      lo: int, hi: int) -> list[float]:
-    return accumulate(g, sources[lo:hi], weight, weight, anchor)
+                      lo: int, hi: int) -> list[list[float]]:
+    return [accumulate(g, sources[lo:hi], weight, weight, anchor)]
 
 
 def _group_ranges(groups: list[tuple[list[int], int]], lo: int, hi: int):
@@ -395,7 +428,7 @@ def _group_ranges(groups: list[tuple[list[int], int]], lo: int, hi: int):
 
     groups holds (roots, edges) per component: its BFS roots ascending,
     each worth `edges` units, laid end to end in group order, so that
-    chunks of equal units carry about equal work.
+    blocks of equal units carry about equal work.
     """
     first = 0
     for i, (roots, edges) in enumerate(groups):
@@ -407,119 +440,140 @@ def _group_ranges(groups: list[tuple[list[int], int]], lo: int, hi: int):
 
 
 def component_chunks(g: Graph, threads: int = 1, anchor=None) -> list:
-    """How accumulate_chunked(g, None, ...) splits its sources: one list
-    per chunk of (nodes, sources) for each component of at least two
-    nodes that the chunk runs, with the component's nodes ascending and
-    the chunk's sources as ascending positions in that list.
+    """How accumulate_chunked(g, None, ...) splits its sources: a list
+    of chunks, each a list of blocks, each block a list of (nodes,
+    sources) for each component of at least two nodes that the block
+    runs, with the component's nodes ascending and the block's sources
+    as ascending positions in that list.
 
-    Components go in order of their lowest node.  One chunk runs every
-    node of each.  Several chunks split the BFS roots instead: the
-    sources whose anchor is < 0, so every source when anchor is None.
-    A root weighs the edge count of its component and a pendant nothing.
-    Each chunk takes a contiguous run of roots of about equal work, plus
-    every pendant anchored to one of them, so an anchor's row is never
-    built in two chunks.  A chunk in which no root starts is dropped, so
-    no more chunks run than there are roots.  At threads 1 the roots
-    are not counted, and below FORK_MIN_WORK units they are not split.
+    The blocks cut the BFS roots: the sources whose anchor is < 0, so
+    every source when anchor is None.  A root weighs the edge count of
+    its component and a pendant nothing; components go in order of their
+    lowest node, each one's roots ascending.  The work is cut into
+    ceil(work / FORK_MIN_WORK) blocks of about equal units, at most
+    MAX_BLOCKS, and each block takes the roots whose units start in it
+    plus every pendant anchored to one of them, so an anchor's BFS runs
+    in one block.  A block in which no root starts is dropped.  These
+    bounds depend on g and anchor alone; `threads` only decides how many
+    chunks share them out, each chunk taking a contiguous run of whole
+    blocks.  Below FORK_MIN_WORK units there is one block, in which
+    every component runs all of its nodes.
     """
     comp = g.component_ids()[0]
     members = [[] for _ in range(max(comp, default=-1) + 1)]
     for v, c in enumerate(comp):
         members[c].append(v)
     members = [nodes for nodes in members if len(nodes) > 1]
-    if threads > 1:
-        adj = g.adj
-        root = range(g.n) if anchor is None else [v if p < 0 else p
-                                                  for v, p in enumerate(anchor)]
-        groups = [([v for v in nodes if root[v] == v],
-                   sum(map(len, map(adj.__getitem__, nodes))) // 2)
-                  for nodes in members]
-        work = sum(len(roots) * edges for roots, edges in groups)
-        if work >= FORK_MIN_WORK:
-            chunks = []
-            for lo, hi in source_chunks(work, threads):
-                part = []
-                for i, a, b in _group_ranges(groups, lo, hi):
-                    roots, nodes = groups[i][0], members[i]
-                    first, last = roots[a], roots[b - 1]
-                    part.append((nodes, [j for j, v in enumerate(nodes)
-                                         if first <= root[v] <= last]))
-                if part:
-                    chunks.append(part)
-            return chunks
-    return [[(nodes, range(len(nodes))) for nodes in members]]
+    adj = g.adj
+    root = None if anchor is None else [v if p < 0 else p
+                                        for v, p in enumerate(anchor)]
+    groups = [(nodes if root is None else [v for v in nodes if root[v] == v],
+               sum(map(len, map(adj.__getitem__, nodes))) // 2)
+              for nodes in members]
+    work = sum(len(roots) * edges for roots, edges in groups)
+    blocks = []
+    for lo, hi in source_chunks(work, min(-(-work // max(FORK_MIN_WORK, 1)),
+                                          MAX_BLOCKS)):
+        block = []
+        for i, a, b in _group_ranges(groups, lo, hi):
+            roots, nodes = groups[i][0], members[i]
+            if len(roots) == len(nodes):  # no pendant: every node a root
+                positions = range(a, b)
+            elif b - a == len(roots):
+                positions = range(len(nodes))
+            else:
+                first, last = roots[a], roots[b - 1]
+                positions = [j for j, v in enumerate(nodes)
+                             if first <= root[v] <= last]
+            block.append((nodes, positions))
+        if block:
+            blocks.append(block)
+    return [blocks[lo:hi] for lo, hi in source_chunks(len(blocks), threads)]
 
 
-def _components_chunk(g: Graph, weight, anchor, part) -> list[float]:
-    """The kernel over one chunk of component_chunks.
+def _components_chunk(g: Graph, weight, anchor, blocks,
+                      fold: bool) -> list[list[float]]:
+    """The kernel over one chunk of component_chunks: one partial per
+    block, or with `fold` the chunk's partials added elementwise in
+    block order, as one.
 
-    Each component runs on a compact subgraph of its own, built when
-    reached; renumbering a whole component in ascending order keeps
-    every adjacency list sorted and every BFS visit order.  A connected
-    g is its own compact subgraph.  An anchor is a neighbour, so it
-    lies in its pendant's component and is renumbered with it.
+    Each component runs on a compact subgraph of its own, built once
+    per chunk when first reached; renumbering a whole component in
+    ascending order keeps every adjacency list sorted and every BFS
+    visit order.  A connected g is its own compact subgraph.  An anchor
+    is a neighbour, so it lies in its pendant's component and is
+    renumbered with it.
     """
     adj = g.adj
     pos = [0] * g.n
-    acc = [0.0] * g.n
-    for nodes, sources in part:
-        if len(nodes) == g.n:
-            return accumulate(g, sources, weight, weight, anchor)
-        for i, v in enumerate(nodes):
-            pos[v] = i
-        sub = Graph([[pos[w] for w in adj[v]] for v in nodes], nodes)
-        sub_weight = None if weight is None else [weight[v] for v in nodes]
-        totals = accumulate(sub, sources, sub_weight, sub_weight,
-                            None if anchor is None else
-                            [-1 if anchor[v] < 0 else pos[anchor[v]] for v in nodes])
-        for v, x in zip(nodes, totals):
-            acc[v] = x
-    return acc
+    built = None
+    partials = []
+    for block in blocks:
+        acc = [0.0] * g.n
+        for nodes, sources in block:
+            if len(nodes) == g.n:
+                acc = accumulate(g, sources, weight, weight, anchor)
+                continue
+            if nodes is not built:
+                for i, v in enumerate(nodes):
+                    pos[v] = i
+                sub = Graph([[pos[w] for w in adj[v]] for v in nodes], nodes)
+                sub_weight = None if weight is None else [weight[v] for v in nodes]
+                sub_anchor = None if anchor is None else [
+                    -1 if anchor[v] < 0 else pos[anchor[v]] for v in nodes]
+                built = nodes
+            totals = accumulate(sub, sources, sub_weight, sub_weight, sub_anchor)
+            for v, x in zip(nodes, totals):
+                acc[v] = x
+        if fold and partials:
+            partials[0] = list(map(operator.add, partials[0], acc))
+        else:
+            partials.append(acc)
+    return partials
 
 
 def accumulate_chunked(g: Graph, sources=None, weight=None,
                        threads: int = 1, anchor=None) -> list[float]:
-    """accumulate() over run_chunked source chunks, summed in chunk order.
+    """accumulate() over run_chunked source chunks, one partial per
+    block, the partials added elementwise in block order.
 
     The one `weight` list is both accumulate's target term and its
     source weight (1 + T on the peeled paths); None means 1.0 for both.
 
-    `sources` None means every node of g, split by component_chunks.
-    The kernel then runs once per connected component of at least two
-    nodes, on a compact subgraph of its own, so a source's per-node
-    lists span only its component.  In one chunk, the components go in
-    order of their lowest node and each one's sources ascending, so
-    every node receives the terms that accumulate(g, range(g.n)) adds
-    to it, in the same order.  Several chunks split the BFS roots by
-    work, and each pendant runs in its anchor's chunk, so every anchor's
-    BFS runs once per call whatever `threads` says.  Other source lists
-    run on g as they are, split by count, and each chunk reuses only
-    rows built within it.
+    `sources` None means every node of g, cut into blocks and chunks by
+    component_chunks.  The kernel then runs once per connected component
+    of at least two nodes and block, on a compact subgraph of its own,
+    so a source's per-node lists span only its component.  In one block,
+    the components go in order of their lowest node and each one's
+    sources ascending, in accumulate's group order when `anchor` is
+    given (each pendant rides its anchor's BFS), so every node receives
+    the terms that accumulate(g, range(g.n), anchor=anchor) adds to it,
+    in the same order.  Above FORK_MIN_WORK root-edge units there are
+    several blocks, whose bounds do not depend on `threads`; chunk 0
+    folds its own blocks as it goes, and the other chunks' partials are
+    folded after it in block order, so the result has the same bits at
+    every `threads`.  Every anchor's BFS runs once per call.
 
-    `anchor` goes to every chunk's accumulate (remapped into each
-    compact component); a chunk's totals with anchors are the bits of
-    the same chunk's sources without them.
+    A source list runs on g as it is, split by count into `threads`
+    chunks summed in chunk order, or as one chunk below FORK_MIN_WORK
+    units (sources times g's edges).  Only the exact runs above pass no
+    list, and the samplers, which pass one, never pass `threads`.
 
-    One chunk's partial is the result as it is; several are added
-    elementwise in chunk order.  The partials are non-negative, so this
-    gives the bits of adding them all into zeros.
-
-    Small inputs (fewer than FORK_MIN_WORK units: root-edge units for
-    `sources` None, sources times g's edges for a list) run as one chunk
-    whatever `threads` says, so they give the same bytes as a
-    single-threaded run.  `threads` below 1 raises ValueError.
+    The partials are non-negative, so folding them gives the bits of
+    adding them all into zeros.  `threads` below 1 raises ValueError.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if sources is None:
         worker, args = _components_chunk, (g, weight, anchor)
-        chunks = [(part,) for part in component_chunks(g, threads, anchor)]
+        chunks = [(blocks, i == 0) for i, blocks in
+                  enumerate(component_chunks(g, threads, anchor))]
     else:
         if len(sources) * g.m < FORK_MIN_WORK:
             threads = 1
         worker, args = _accumulate_chunk, (g, sources, weight, anchor)
         chunks = source_chunks(len(sources), threads)
-    partials = run_chunked(worker, args, chunks)
+    partials = [p for part in run_chunked(worker, args, chunks) for p in part]
     if not partials:
         return [0.0] * g.n
     acc = partials[0]
@@ -533,9 +587,11 @@ def brandes_exact(g: Graph, threads: int = 1) -> BcResult:
 
     Scores are normalized by (n-1)(n-2) over ordered pairs; graphs with
     n <= 2 score 0 everywhere.  Per-source contributions are reduced in
-    ascending source order, so repeated runs are bit-identical.  It runs
-    one BFS per source and passes no anchors: it is the baseline that
-    the peeled algorithms' speed-up is measured against.
+    ascending source order within each block of accumulate_chunked and
+    the blocks in block order, so repeated runs, and runs at any
+    `threads`, are bit-identical.  It runs one BFS per source and passes
+    no anchors: it is the baseline that the peeled algorithms' speed-up
+    is measured against.
     """
     start = perf_counter()
     n = g.n

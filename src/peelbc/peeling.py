@@ -58,8 +58,8 @@ class _Peeled:
 
     After one round, sub can keep degree-1 nodes: a kept node whose
     other neighbours were all removed.  The exact runs hand them to the
-    kernel as anchored sources (exact.pendant_anchors), so each reuses
-    its neighbour's row; the 2-core has none.
+    kernel as anchored sources (exact.pendant_anchors), so each rides
+    its neighbour's BFS; the 2-core has none.
     """
 
     kept: list[int]
@@ -178,14 +178,15 @@ def bc_one_round_mem(g: Graph, threads: int = 1) -> BcResult:
     estimator on the same set-up is sampling.sample_bc_peeled.
 
     The peeled graph can still have degree-1 nodes (kept nodes that
-    lost all but one neighbour to the round).  Each reuses its
-    neighbour's dependency row (see exact.accumulate's anchor), which
-    saves that many BFS runs and moves no bit.  Memory is the kernel's
-    per-source lists plus one array('d') row, of the component's size,
-    per neighbour whose row a later source still needs.  `threads`
-    splits the BFS roots into chunks as in `brandes_exact`, and each
-    pendant runs in its neighbour's chunk (exact.component_chunks), so
-    no chunk repeats another's BFS.
+    lost all but one neighbour to the round).  Each rides its
+    neighbour's BFS (see exact.accumulate's anchor), which saves that
+    many BFS runs; the scores are those of the kernel without anchors
+    run over the sources in group order, each pendant next to its
+    neighbour.  Memory is the kernel's per-source lists.  The BFS roots
+    are cut into blocks as in `brandes_exact`, each pendant in its
+    neighbour's block (exact.component_chunks), so no block repeats
+    another's BFS, and `threads` shares the blocks out without moving a
+    bit.
     """
     start = perf_counter()
     one = _one_round(g)
@@ -201,7 +202,7 @@ def bc_via_2core_recurrence(g: Graph, threads: int = 1) -> BcResult:
     2-core only (each core node weighted by 1 + the size of the trees
     hanging off it), and scores every tree node in closed form from its
     subtree sizes.  Memory and time are those of the kernel on the
-    2-core; `threads` splits its sources as in `brandes_exact`.
+    2-core; `threads` shares its blocks out as in `brandes_exact`.
     """
     start = perf_counter()
     one = _full_peel(g)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import multiprocessing
+import os
 import random
 from collections import Counter
 
@@ -118,15 +118,42 @@ def small_corpus() -> list[Graph]:
 
 
 @pytest.fixture
-def fork_calls(monkeypatch) -> list:
-    """Records every multiprocessing.get_context call: run_chunked makes
-    one each time it forks chunk processes."""
-    calls = []
-    real = multiprocessing.get_context
+def fork_calls(monkeypatch) -> list[int]:
+    """Records the pid of every child that os.fork makes: run_chunked
+    forks one per chunk past the first."""
+    pids = []
+    real = os.fork
 
-    def spy(method=None):
-        calls.append(method)
-        return real(method)
+    def spy():
+        pid = real()
+        if pid:  # in the child, the list is a copy nobody reads
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(multiprocessing, "get_context", spy)
-    return calls
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def all_reaped(pids: list[int]) -> bool:
+    """Whether every pid in pids is no longer a child of this process:
+    waitpid on a reaped child raises ChildProcessError, while a running
+    child returns (0, 0) and an unreaped zombie is reaped by the call."""
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
+
+
+def group_order(sources, anchor) -> list[int]:
+    """The order in which accumulate runs sources with `anchor`: the
+    sources of each BFS root (the root, when a source, and the pendants
+    anchored to it) together, in source order, at the place of the
+    group's first member."""
+    groups = {}
+    for s in sources:
+        p = -1 if anchor is None else anchor[s]
+        groups.setdefault(s if p < 0 else p, []).append(s)
+    return [s for members in groups.values() for s in members]

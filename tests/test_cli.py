@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -201,13 +200,27 @@ class TestExact:
         assert main(["exact", DOLPHINS, "--algorithm", algorithm, "--threads", "1",
                      "--format", "json", "--out", str(outs[1])]) == 0
 
-        def no_fork(*args, **kwargs):
+        def no_fork():
             raise AssertionError("forked a chunk process for a small input")
 
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(os, "fork", no_fork)
         assert main(["exact", DOLPHINS, "--algorithm", algorithm, "--threads", "2",
                      "--format", "json", "--out", str(outs[2])]) == 0
         assert outs[2].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("algorithm", ["brandes", "peel1", "2core-recurrence"])
+    @pytest.mark.parametrize("fixture", ["rt_obama", "email-univ", "soc-wiki-Vote"])
+    def test_score_files_do_not_depend_on_threads(self, fixture, algorithm, tmp_path):
+        # Each input is above FORK_MIN_WORK, so --threads 2 and 3 fork.
+        path = str(fixture_path(fixture))
+        for fmt in ("json", "csv"):
+            outs = [tmp_path / f"t{threads}.{fmt}" for threads in (1, 2, 3)]
+            for threads, out in zip((1, 2, 3), outs):
+                assert main(["exact", path, "--algorithm", algorithm,
+                             "--threads", str(threads), "--format", fmt,
+                             "--out", str(out)]) == 0
+            assert outs[1].read_bytes() == outs[0].read_bytes(), fmt
+            assert outs[2].read_bytes() == outs[0].read_bytes(), fmt
 
 
 class TestScoreWriter:

@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import os
 import signal
 import time
@@ -29,8 +28,8 @@ from peelbc.exact import (
     source_chunks,
 )
 
-from conftest import (corpus_graph, er_with_exact_pendants, path_graph, preds,
-                      root_edge_units)
+from conftest import (all_reaped, corpus_graph, er_with_exact_pendants, path_graph,
+                      preds, root_edge_units)
 
 
 def enumeration_bc(g: Graph) -> list[float]:
@@ -203,29 +202,20 @@ class TestBrandesExact:
         serial = brandes_exact(g, threads=1).bc
         assert fork_calls == []
         parallel = brandes_exact(g, threads=2).bc
-        assert fork_calls == ["fork"]
-        assert parallel == pytest.approx(serial, abs=1e-12)
+        assert len(fork_calls) == 1 and all_reaped(fork_calls)
+        assert parallel == serial
         assert brandes_exact(g, threads=2).bc == parallel  # same-settings determinism
 
-    def test_threads_past_sources_fork_no_empty_chunk(self, monkeypatch):
-        # 4 roots times 3 edges split into 8 chunks of work units: only
-        # the chunks at units 0, 3, 6 and 9 start a root.
+    def test_threads_past_sources_fork_no_empty_chunk(self, fork_calls, monkeypatch):
+        # 4 roots times 3 edges cut into 12 blocks of one unit: only the
+        # blocks at units 0, 3, 6 and 9 start a root.
         g = path_graph(4)
         serial = brandes_exact(g, threads=1).bc
         monkeypatch.setattr(peelbc.exact, "FORK_MIN_WORK", 0)
-        ctx = multiprocessing.get_context("fork")
-        started = []
-
-        class CountedProcess(ctx.Process):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(ctx, "Process", CountedProcess)
         with time_limit(30):
             assert brandes_exact(g, threads=8).bc == serial
-        assert len(started) == 3  # chunk 0 runs in the caller
-        assert multiprocessing.active_children() == []
+        assert len(fork_calls) == 3  # chunk 0 runs in the caller
+        assert all_reaped(fork_calls)
 
 
 class TestOracle:
@@ -346,20 +336,21 @@ def _chunk_zero_raises(lo, hi):
 
 
 class TestRunChunked:
-    def test_chunks_come_back_in_order(self):
+    def test_chunks_come_back_in_order(self, fork_calls):
         with time_limit(30):
             parts = run_chunked(_chunk_bounds, (), source_chunks(10, 3))
         assert [p[:2] for p in parts] == [(0, 3), (3, 7), (7, 10)]
         assert parts[0][2] == os.getpid()  # chunk 0 runs in the caller
-        assert len({p[2] for p in parts}) == 3
-        assert multiprocessing.active_children() == []
+        assert [p[2] for p in parts[1:]] == fork_calls
+        assert all_reaped(fork_calls)
 
     @pytest.mark.parametrize("worker, error, match", [
         (_chunk_one_raises, ValueError, r"chunk \[1, 2\) failed"),
         (_chunk_one_dies, RuntimeError, "exited with code 3"),
         (_chunk_zero_raises, KeyError, "chunk 0 failed"),
     ])
-    def test_failed_chunk_raises_and_leaves_no_process(self, worker, error, match):
+    def test_failed_chunk_raises_and_leaves_no_process(self, worker, error, match,
+                                                       fork_calls):
         with time_limit(20), pytest.raises(error, match=match):
             run_chunked(worker, (), [(0, 1), (1, 2)])
-        assert multiprocessing.active_children() == []
+        assert len(fork_calls) == 1 and all_reaped(fork_calls)

@@ -1,5 +1,6 @@
 """numpy and multiprocessing stay off every scoring path: only the
-oracle loads numpy, and only a call that forks loads multiprocessing.
+oracle loads numpy, and no call loads multiprocessing, not even one
+that forks chunk processes (run_chunked forks with os.fork).
 
 Runs in a fresh interpreter, since the test session itself has both
 loaded long before any test starts.
@@ -15,6 +16,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCRIPT = r"""
 import json
+import os
 import sys
 
 import peelbc
@@ -23,6 +25,18 @@ from peelbc import fixture_path
 
 out_dir = sys.argv[1]
 dolphins = str(fixture_path("soc-dolphins"))
+forks = []
+real_fork = os.fork
+
+
+def counted_fork():
+    pid = real_fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+
+os.fork = counted_fork
 
 
 def loaded():
@@ -32,9 +46,9 @@ def loaded():
 report = {"after_import": loaded()}
 
 
-def scores(name, *argv):
+def scores(name, *argv, graph=dolphins):
     path = f"{out_dir}/{name}.json"
-    assert peelbc.cli.main([argv[0], dolphins, *argv[1:], "--format", "json",
+    assert peelbc.cli.main([argv[0], graph, *argv[1:], "--format", "json",
                             "--out", path]) == 0, name
     with open(path, encoding="utf-8") as fh:
         return [row["bc"] for row in json.load(fh)["scores"]]
@@ -45,6 +59,11 @@ scores("peel1", "exact", "--algorithm", "peel1", "--threads", "1")
 two_core = scores("2core-recurrence", "exact", "--algorithm", "2core-recurrence")
 scores("peeled", "sample", "--method", "peeled", "--k", "10")
 scores("baseline", "sample", "--method", "baseline", "--k", "10")
+report["forks_below_threshold"] = len(forks)
+# ca-CSphd's peel1 work (63k root-edge units) is above FORK_MIN_WORK.
+scores("forked", "exact", "--algorithm", "peel1", "--threads", "2",
+       graph=str(fixture_path("ca-CSphd")))
+report["forks"] = len(forks)
 report["after_scoring"] = loaded()
 
 oracle = scores("oracle", "exact", "--algorithm", "oracle")
@@ -66,7 +85,9 @@ def test_scoring_leaves_numpy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["after_import"] == {"numpy": False, "multiprocessing": False}
-    # soc-dolphins is below FORK_MIN_WORK, so no call forks.
+    # soc-dolphins is below FORK_MIN_WORK, so no call on it forks.
+    assert report["forks_below_threshold"] == 0
+    assert report["forks"] == 1
     assert report["after_scoring"] == {"numpy": False, "multiprocessing": False}
     assert report["after_oracles"]  # loaded on demand by the oracle
     for name, diff in report["max_diff"].items():

@@ -9,10 +9,12 @@ accumulate psi = delta + zeta in one pass round differently, and must
 stay within MAX_ULPS of it per score.
 
 `single_pass` is the exact algorithms as they stood before they ran the
-kernel once per connected component: one kernel pass over the whole
-graph with every node a source.  Splitting by component moves no bit.
-Neither does letting pendant sources reuse their anchor's row: the
-kernel with anchors must give the bits of the kernel without them.
+kernel once per connected component: kernel passes over the whole graph
+with every node a source, one per block of `exact.component_chunks`,
+added in block order.  Splitting by component moves no bit.  Neither
+does letting pendant sources ride their anchor's BFS: the kernel with
+anchors must give the bits of the kernel without them run over the
+sources in group order (`conftest.group_order`).
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from peelbc import (
     sssp_bfs,
 )
 from peelbc.exact import (_normalizer, accumulate_chunked, component_chunks,
-                          pendant_anchors)
+                          pendant_anchors, source_chunks)
 from peelbc.peeling import _add_pendant_terms, _full_peel, _one_round
 
-from conftest import corpus, diamond_chain, preds
+from conftest import corpus, diamond_chain, group_order, preds
 
 # One-pass psi = delta + zeta against the two-accumulator sum: the worst
 # case is 4 ulps on the inputs below and 7 on the larger bundled fixtures.
@@ -194,7 +196,15 @@ def test_sssp_matches_predecessor_bfs(graphs):
             assert [sorted(p) for p in preds(tree)] == [sorted(p) for p in ref_preds]
 
 
-def test_brandes_matches_reference(graphs):
+@pytest.fixture
+def one_block(monkeypatch):
+    """Runs every exact call as one block, in ascending source order,
+    as the reference loops add; the block fold is checked against
+    single_pass below."""
+    monkeypatch.setattr(peelbc.exact, "FORK_MIN_WORK", 10**18)
+
+
+def test_brandes_matches_reference(graphs, one_block):
     for g in graphs:
         assert brandes_exact(g, threads=1).bc == ref_brandes(g)
 
@@ -274,18 +284,33 @@ def test_counts_past_2_53_match_reference(g, sources):
             == ref_accumulate(g, sources, target, target))
 
 
+def folded_passes(g: Graph, weight=None, anchor=None) -> list[float]:
+    """accumulate_chunked(g, None, weight, anchor=anchor) rebuilt from
+    the kernel without anchors: each block of component_chunks runs its
+    sources on g itself, in group order, and the blocks' totals are
+    added in block order."""
+    acc = [0.0] * g.n
+    blocks = [block for chunk in component_chunks(g, 1, anchor) for block in chunk]
+    for i, block in enumerate(blocks):
+        sources = [nodes[j] for nodes, positions in block for j in positions]
+        totals = accumulate(g, group_order(sources, anchor), weight, weight)
+        acc = totals if i == 0 else [x + y for x, y in zip(acc, totals)]
+    return acc
+
+
 def single_pass(g: Graph, set_up=None) -> list[float]:
-    """Exact scores from one kernel pass over every node as a source: on
-    g for Brandes (set_up None), else on the set-up's kept subgraph with
-    target = weight = 1 + T, plus the closed-form terms."""
+    """Exact scores from whole-graph kernel passes, one per block: on g
+    for Brandes (set_up None), else on the set-up's kept subgraph with
+    target = weight = 1 + T and its pendant anchors' group order, plus
+    the closed-form terms."""
     n = g.n
     if n <= 2:
         return [0.0] * n
     if set_up is None:
         norm = _normalizer(n)
-        return [x / norm for x in accumulate(g, range(n))]
+        return [x / norm for x in folded_passes(g)]
     one = set_up(g)
-    acc = accumulate(one.sub, range(one.sub.n), target=one.weight, weight=one.weight)
+    acc = folded_passes(one.sub, one.weight, pendant_anchors(one.sub))
     bc = [0.0] * n
     _add_pendant_terms(bc, one, acc)
     return bc
@@ -341,7 +366,7 @@ def test_per_component_runs_match_single_pass(label, g, request):
 
 def test_brandes_threads_agree_on_rt_obama(rt_obama_brandes):
     parallel = brandes_exact(load_fixture("rt_obama"), threads=2).bc
-    assert parallel == pytest.approx(rt_obama_brandes, abs=1e-12)
+    assert parallel == rt_obama_brandes
 
 
 def _anchor_orders(anchor: list[int], seed: int) -> dict[str, list[int]]:
@@ -372,8 +397,9 @@ def test_pendant_anchors():
 
 def test_anchored_kernel_keeps_every_bit(graphs):
     """accumulate with anchors gives the bits of accumulate without them
-    on every one-round kept subgraph with a pendant, unit and weighted,
-    whatever the order of pendants and anchors among the sources."""
+    over the sources in group order, on every one-round kept subgraph
+    with a pendant, unit and weighted, whatever the order of pendants
+    and anchors among the sources."""
     anchored = 0
     for seed, g in enumerate(graphs + [g for _, g in SPLIT_CASES]):
         one = _one_round(g)
@@ -383,18 +409,21 @@ def test_anchored_kernel_keeps_every_bit(graphs):
             continue
         anchored += 1
         for order, sources in _anchor_orders(anchor, seed).items():
+            riding = group_order(sources, anchor)
             for weight in (None, one.weight):
                 got = accumulate(sub, sources, weight, weight, anchor)
-                assert got == accumulate(sub, sources, weight, weight), (seed, order)
+                assert got == accumulate(sub, riding, weight, weight), (seed, order)
     assert anchored >= 100
 
 
 @pytest.mark.parametrize("threads", [2, 3])
 def test_anchored_chunks_keep_every_bit(threads, monkeypatch):
-    """Forked chunks, each with its own row cache, give the bits of the
-    same chunks' sources run without anchors and summed in chunk order.
-    Over components, component_chunks gives each chunk its roots and
-    the pendants anchored to them; a source list splits as it is."""
+    """Forked chunks give the bits of the kernel without anchors run
+    over each block's sources in group order, the blocks added in block
+    order.  Over components, component_chunks cuts the same blocks at
+    every thread count, each with its roots and the pendants anchored to
+    them, and hands each chunk whole blocks; a source list splits by
+    count into chunks summed in chunk order."""
     monkeypatch.setattr(peelbc.exact, "FORK_MIN_WORK", 0)
     for seed, (label, g) in enumerate(SPLIT_CASES):
         one = _one_round(g)
@@ -402,23 +431,25 @@ def test_anchored_chunks_keep_every_bit(threads, monkeypatch):
         anchor = pendant_anchors(sub)
         if anchor is None:
             continue
-        chunks = [[nodes[j] for nodes, sources in part for j in sources]
-                  for part in component_chunks(sub, threads, anchor)]
+        chunks = component_chunks(sub, threads, anchor)
         assert len(chunks) > 1, label
-        assert sorted(sum(chunks, [])) == [v for v in range(sub.n) if sub.adj[v]]
-        for chunk in chunks:
-            assert {anchor[s] for s in chunk if anchor[s] >= 0} <= set(chunk), label
+        blocks = [block for chunk in chunks for block in chunk]
+        assert blocks == component_chunks(sub, 1, anchor)[0], label
+        runs = [[nodes[j] for nodes, positions in block for j in positions]
+                for block in blocks]
+        assert sorted(sum(runs, [])) == [v for v in range(sub.n) if sub.adj[v]]
+        for run in runs:
+            assert {anchor[s] for s in run if anchor[s] >= 0} <= set(run), label
         for weight in (None, one.weight):
             got = accumulate_chunked(sub, None, weight, threads=threads, anchor=anchor)
-            want = accumulate(sub, chunks[0], weight, weight)
-            for chunk in chunks[1:]:
-                want = [x + y for x, y in
-                        zip(want, accumulate(sub, chunk, weight, weight))]
-            assert got == want, label
+            assert got == folded_passes(sub, weight, anchor), label
         sources = _anchor_orders(anchor, seed)["pendants-last"]
         for weight in (None, one.weight):
             got = accumulate_chunked(sub, sources, weight, threads=threads, anchor=anchor)
-            want = accumulate_chunked(sub, sources, weight, threads=threads)
+            want = [0.0] * sub.n
+            for lo, hi in source_chunks(len(sources), threads):
+                part = accumulate(sub, group_order(sources[lo:hi], anchor), weight, weight)
+                want = [x + y for x, y in zip(want, part)]
             assert got == want, label
 
 

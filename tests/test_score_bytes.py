@@ -1,12 +1,15 @@
 """Pinned output bytes: the sha256 of the JSON and CSV score files of
 each exact algorithm (--threads 1) and each sampler (--k 10 --seed 0),
 and of the stats table in JSON and CSV, on three bundled fixtures.  Output sent to
-stdout must be the same bytes as the --out file.
+stdout must be the same bytes as the --out file.  Exact score files do
+not depend on --threads (tests/test_cli.py checks that), so the
+--threads 1 digests pin every thread count.
 
-Speed work on the kernel (component passes, anchor reuse) must not move
-a byte of these files.  A change that moves bytes on purpose (a new
-reduction order, chunk bounds rebalanced by work; ROADMAP items 2 and 5)
-updates the digests here and says so in CHANGES.md.
+Speed work on the kernel (component passes, pendants riding their
+anchor's BFS) must not move a byte of these files unless it changes
+the order in which terms are added.  A change that moves bytes on
+purpose (a new reduction order, such as the fixed blocks folded above
+FORK_MIN_WORK) updates the digests here and says so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -39,10 +42,10 @@ RUNS.update({
 })
 
 DIGESTS = {
-    ("rt_obama", "brandes"): "f7840e28c5edd13b5c20446d7865da30d14d0252692bf9e77a54df1ca678ab3e",
-    ("rt_obama", "peel1"): "c2f233bba914f2b16e72e1248f3b2f82541d7ccafa79d62f5d9349c26254d004",
+    ("rt_obama", "brandes"): "d4359efcb11aa0d9066ccff124dc1b17192f23bc4ee1a3a9f599345f674a03f5",
+    ("rt_obama", "peel1"): "09a32aad885f93100c53b66af8021d9701ea8516b961b3e8358e5b3276d834f3",
     ("rt_obama", "2core-recurrence"):
-        "96b548445d2d14ff253cbe95e8caebd1cbfd615c86076550266b817272160d69",
+        "234c7795bfbc48e102ccebb19375303af618eb572b04c40fdecc25695034635f",
     ("rt_obama", "sample-peeled"):
         "1de0e85cbec229819c390e926f305487d557cd728dd9a3593ce8ba07cf15d829",
     ("rt_obama", "sample-baseline"):
