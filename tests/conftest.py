@@ -146,14 +146,3 @@ def all_reaped(pids: list[int]) -> bool:
         return False
     return True
 
-
-def group_order(sources, anchor) -> list[int]:
-    """The order in which accumulate runs sources with `anchor`: the
-    sources of each BFS root (the root, when a source, and the pendants
-    anchored to it) together, in source order, at the place of the
-    group's first member."""
-    groups = {}
-    for s in sources:
-        p = -1 if anchor is None else anchor[s]
-        groups.setdefault(s if p < 0 else p, []).append(s)
-    return [s for members in groups.values() for s in members]

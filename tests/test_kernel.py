@@ -14,7 +14,7 @@ with every node a source, one per block of `exact.component_chunks`,
 added in block order.  Splitting by component moves no bit.  Neither
 does letting pendant sources ride their anchor's BFS: the kernel with
 anchors must give the bits of the kernel without them run over the
-sources in group order (`conftest.group_order`).
+sources in group order (`group_order`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from peelbc.exact import (_normalizer, accumulate_chunked, component_chunks,
                           pendant_anchors, source_chunks)
 from peelbc.peeling import _add_pendant_terms, _full_peel, _one_round
 
-from conftest import corpus, diamond_chain, group_order, preds
+from conftest import corpus, diamond_chain, preds
 
 # One-pass psi = delta + zeta against the two-accumulator sum: the worst
 # case is 4 ulps on the inputs below and 7 on the larger bundled fixtures.
@@ -282,6 +282,18 @@ def test_counts_past_2_53_match_reference(g, sources):
     target = [1.0 + v % 3 for v in range(n)]
     assert (accumulate(g, sources, target=target, weight=target)
             == ref_accumulate(g, sources, target, target))
+
+
+def group_order(sources, anchor) -> list[int]:
+    """The order in which accumulate runs sources with `anchor`: the
+    sources of each BFS root (the root, when a source, and the pendants
+    anchored to it) together, in source order, at the place of the
+    group's first member."""
+    groups = {}
+    for s in sources:
+        p = -1 if anchor is None else anchor[s]
+        groups.setdefault(s if p < 0 else p, []).append(s)
+    return [s for members in groups.values() for s in members]
 
 
 def folded_passes(g: Graph, weight=None, anchor=None) -> list[float]:
