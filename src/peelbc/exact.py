@@ -327,9 +327,9 @@ def _chunk_child(send: int, worker, common_args: tuple, chunk: tuple):
     exception), pickled, to the pipe end `send`, then exit at once, so
     the child never returns into its caller's stack.  The exit code is
     0 only once the whole reply is written."""
-    import pickle
     code = 1
     try:
+        import pickle
         try:
             reply = (True, worker(*common_args, *chunk))
         except Exception as exc:
