@@ -399,7 +399,7 @@ def run_chunked(worker, common_args: tuple, chunks: list[tuple]) -> list:
 # component it runs on; see component_chunks) a forked worker costs
 # more than it saves, so the work runs as one block in the caller.
 # Serial against forced two-chunk (two-block) runs with os.fork
-# workers, in-process, best of 36 over two alternating sessions on a
+# workers, in-process, best of 36 alternating calls (two runs) on a
 # 2-vCPU Xeon VM: soc-dolphins brandes (9.9k units) 2.9 vs 4.4 ms and
 # peel1 (8.0k) 3.4 vs 4.2 ms; cp-3000 peel1 (31k) 3.7 vs 5.9 ms, where
 # a two-chunk round trip costs more than half the kernel; ca-CSphd
