@@ -201,7 +201,15 @@ def accumulate(g: Graph, sources, target=None, weight=None,
     1 without s in reverse visit order, as a BFS from s sums it into
     psi_s[p].  So the totals are the bits of the kernel without anchors
     run over the sources in group order, and the call holds no more
-    than one source's lists at a time.
+    than one source's lists at a time.  Two shortcuts keep those bits.
+    A node with psi_p[w] == 0.0 (a leaf of the BFS tree, such as a
+    pendant below the farthest level) adds nothing, where each member
+    would add ws * 0.0: that is +0.0 for finite ws, and the totals are
+    sums of non-negative terms, never -0.0, so x + 0.0 == x.  Weights
+    must therefore be finite (the package passes only 1 and 1 + T).
+    A group of exactly two members adds acc[w] + w0 * pw + w1 * pw,
+    which Python evaluates left to right, with the two roundings of the
+    member loop in its order; larger groups keep the loop.
     """
     n = g.n
     adj = g.adj
@@ -246,6 +254,9 @@ def accumulate(g: Graph, sources, target=None, weight=None,
             weights = [1.0 if weight is None else weight[s] for s in members]
             ws = weights[0]
             riders = len(weights) > 1
+            pair = len(weights) == 2
+            if pair:
+                w0, w1 = weights
         # levels[0] holds the source, which depends on nothing
         for up in range(top - 2, -1, -1):
             if riders:
@@ -261,8 +272,13 @@ def accumulate(g: Graph, sources, target=None, weight=None,
                         for v in adj[w]:
                             if dist[v] == up:
                                 psi[v] += sigma[v] * coeff
-                    for wt in weights:
-                        acc[w] += wt * pw
+                    if not pw:  # every member would add +0.0
+                        continue
+                    if pair:
+                        acc[w] = acc[w] + w0 * pw + w1 * pw
+                    else:
+                        for wt in weights:
+                            acc[w] += wt * pw
             elif unit:
                 for w in reversed(levels[up + 1]):
                     pw = psi[w]
@@ -403,8 +419,8 @@ def run_chunked(worker, common_args: tuple, chunks: list[tuple]) -> list:
 # 2-vCPU Xeon VM: soc-dolphins brandes (9.9k units) 2.9 vs 4.4 ms and
 # peel1 (8.0k) 3.4 vs 4.2 ms; cp-3000 peel1 (31k) 3.7 vs 5.9 ms, where
 # a two-chunk round trip costs more than half the kernel; ca-CSphd
-# 2-core (22.5k) 12.4 vs 10.9 ms; ca-CSphd peel1 (63k) 33.9 vs 26.3 ms;
-# rt_obama peel1 (298k) 103 vs 69 ms.  A unit's cost varies with the
+# 2-core (22.5k) 12.4 vs 10.9 ms; ca-CSphd peel1 (63k) 23.7 vs 15.9 ms;
+# rt_obama peel1 (298k) 79.9 vs 45.6 ms.  A unit's cost varies with the
 # graph (a BFS through a dense core stops early, a long cycle does
 # not), so the break-even lies between 22.5k and 63k units on these
 # inputs, and above 31k on the trees of cp-3000.

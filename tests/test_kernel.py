@@ -284,16 +284,22 @@ def test_counts_past_2_53_match_reference(g, sources):
             == ref_accumulate(g, sources, target, target))
 
 
-def group_order(sources, anchor) -> list[int]:
-    """The order in which accumulate runs sources with `anchor`: the
+def rider_groups(sources, anchor) -> list[list[int]]:
+    """The groups in which accumulate runs sources with `anchor`: the
     sources of each BFS root (the root, when a source, and the pendants
-    anchored to it) together, in source order, at the place of the
-    group's first member."""
+    anchored to it), in source order, the groups in order of their
+    first member."""
     groups = {}
     for s in sources:
         p = -1 if anchor is None else anchor[s]
         groups.setdefault(s if p < 0 else p, []).append(s)
-    return [s for members in groups.values() for s in members]
+    return list(groups.values())
+
+
+def group_order(sources, anchor) -> list[int]:
+    """The order in which accumulate runs sources with `anchor`: each
+    group of rider_groups at the place of its first member."""
+    return [s for members in rider_groups(sources, anchor) for s in members]
 
 
 def folded_passes(g: Graph, weight=None, anchor=None) -> list[float]:
@@ -407,13 +413,43 @@ def test_pendant_anchors():
     assert pendant_anchors(Graph.from_edges(2, [(0, 1)])) is None
 
 
+def comb(stubs: list[int]) -> Graph:
+    """A cycle whose i-th node carries stubs[i] two-node stubs, each a
+    node with a leaf of its own.  One round removes the leaves, so in
+    the kept graph every stub node is a pendant of its cycle node: rider
+    groups of 1 + stubs[i] members.  A pendant is a leaf of every BFS
+    but its own, so its dependency there is 0.0, on whatever level it
+    lies."""
+    n = len(stubs)
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    for i, count in enumerate(stubs):
+        for _ in range(count):
+            edges += [(i, n), (n, n + 1)]
+            n += 2
+    return Graph.from_edges(n, edges)
+
+
+def test_comb_kept_graph():
+    """The comb's kept graph has rider groups of one to four members,
+    and a BFS that reaches pendants before its farthest level."""
+    sub = _one_round(comb([0, 1, 2, 3])).sub
+    anchor = pendant_anchors(sub)
+    assert sorted(map(len, rider_groups(range(sub.n), anchor))) == [1, 2, 3, 4]
+    levels = sssp_bfs(sub, 0).levels
+    assert any(anchor[w] >= 0 for level in levels[1:-1] for w in level)
+
+
 def test_anchored_kernel_keeps_every_bit(graphs):
     """accumulate with anchors gives the bits of accumulate without them
     over the sources in group order, on every one-round kept subgraph
     with a pendant, unit and weighted, whatever the order of pendants
-    and anchors among the sources."""
+    and anchors among the sources.  The corpus runs rider groups of two
+    members (added without a loop) and of three or more (added in one),
+    and riders whose dependency is 0.0 (which add nothing)."""
     anchored = 0
-    for seed, g in enumerate(graphs + [g for _, g in SPLIT_CASES]):
+    sizes = set()
+    combs = [comb([0, 1, 2, 3]), comb([3, 0, 2, 1, 1, 0, 2, 3, 0])]
+    for seed, g in enumerate(graphs + [g for _, g in SPLIT_CASES] + combs):
         one = _one_round(g)
         sub = one.sub
         anchor = pendant_anchors(sub)
@@ -422,10 +458,12 @@ def test_anchored_kernel_keeps_every_bit(graphs):
         anchored += 1
         for order, sources in _anchor_orders(anchor, seed).items():
             riding = group_order(sources, anchor)
+            sizes.update(map(len, rider_groups(sources, anchor)))
             for weight in (None, one.weight):
                 got = accumulate(sub, sources, weight, weight, anchor)
                 assert got == accumulate(sub, riding, weight, weight), (seed, order)
     assert anchored >= 100
+    assert {2, 3, 4} <= sizes
 
 
 @pytest.mark.parametrize("threads", [2, 3])
