@@ -55,11 +55,11 @@ def load_cli(name: str, package_dir: Path):
     return importlib.import_module(f"{name}.cli")
 
 
-def quartiles(xs: list[float]) -> tuple[float, float, float]:
+def quartiles(xs: list[float]) -> list[float]:
+    """Q1, median and Q3 of xs; a single value stands for all three."""
     if len(xs) < 2:
-        return xs[0], xs[0], xs[0]
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return q1, med, q3
+        return xs * 3
+    return statistics.quantiles(xs, n=4, method="inclusive")
 
 
 def main(argv=None) -> int:
