@@ -112,7 +112,7 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("fixture, run", list(DIGESTS), ids=[f"{f}/{r}" for f, r in DIGESTS])
+@pytest.mark.parametrize("fixture, run", list(DIGESTS), ids="/".join)
 def test_score_file_digest(fixture, run, tmp_path):
     out = tmp_path / "out"
     command, *flags = RUNS[run]
