@@ -20,7 +20,7 @@ from pathlib import Path
 from .exact import ORACLE_SIZE_WARNING, BcResult, brandes_exact, oracle_bc
 from .graph import (
     Graph,
-    peel,
+    peel_counts,
     peel_diagnostics,
     peel_sizes,
     read_graph,
@@ -59,30 +59,45 @@ def _label_key(label):
         return (1, 0, text)
 
 
-def label_order(g: Graph) -> list[int]:
-    """Node ids sorted by original label (numeric-aware).
+def label_order(texts: list[str]) -> list[int]:
+    """Node ids sorted by label text (numeric-aware); texts[v] is the
+    str of node v's label.
 
     Labels that parse as ints sort by value, ties keeping id order,
     before the rest in text order (see _label_key).  When every label
-    parses, the int values alone are the sort keys.
+    parses, the int values alone are the sort keys, and when those are
+    the whole range lo..lo + n - 1, each once, every node goes straight
+    to its slot.
     """
-    texts = list(map(str, g.labels))
     try:
         keys = list(map(int, texts))
     except ValueError:
         keys = list(map(_label_key, texts))
-    return sorted(range(g.n), key=keys.__getitem__)
+    else:
+        n = len(keys)
+        lo = min(keys, default=0)
+        if max(keys, default=-1) - lo + 1 == n:
+            slots = [None] * n
+            for v, key in enumerate(keys):
+                slots[key - lo] = v
+            if None not in slots:  # no key twice
+                return slots
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _run_record(dataset: str, g: Graph, result: BcResult,
                 rel_l1: float | None, timing: bool) -> dict:
     """The "run" object of a JSON score file.
 
-    Its peel statistics come from the peel the algorithm ran, or from a
-    peel here when it ran none.  elapsed is included only with timing,
-    keeping default outputs byte-reproducible.
+    Its peel statistics come from the full peel the algorithm ran, or
+    from a pass here that counts the peel's rounds when it ran none.
+    elapsed is included only with timing, keeping default outputs
+    byte-reproducible.
     """
-    n_tilde, m_tilde, fractions = peel_sizes(g, result.peeled or peel(g))
+    if result.peeled is None:
+        n_tilde, m_tilde, fractions = peel_counts(g)
+    else:
+        n_tilde, m_tilde, fractions = peel_sizes(g, result.peeled)
     run = {
         "dataset": dataset,
         "algorithm": result.algorithm,
@@ -150,8 +165,9 @@ def scores_json(run: dict, labels, values) -> str:
 
 def _write_scores(args, g: Graph, result: BcResult,
                   rel_l1: float | None = None) -> None:
-    order = label_order(g)
-    labels = list(map(str, map(g.labels.__getitem__, order)))
+    texts = list(map(str, g.labels))
+    order = label_order(texts)
+    labels = list(map(texts.__getitem__, order))
     values = list(map(result.bc.__getitem__, order))
     if args.format == "csv":
         text = _csv_text([("node", "bc"), *zip(labels, map(_fmt, values))])

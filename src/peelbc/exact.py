@@ -78,7 +78,8 @@ class BcResult:
 
     k is None for exact runs; elapsed is wall time of the compute call.
     peeled is the full peel of the input graph when the algorithm ran
-    one, so the run record of a JSON score file reuses it; it is never
+    one (only the 2-core path does), so the run record of a JSON score
+    file reuses it instead of counting the peel's rounds; it is never
     serialized.
     """
 

@@ -450,6 +450,40 @@ def peel_sizes(g: Graph, decomp: PeelDecomposition) -> tuple[int, int, list[floa
     return g.n - len(round0), g.m - len(round0) + two_node_components, fractions
 
 
+def peel_counts(g: Graph) -> tuple[int, int, list[float]]:
+    """peel_sizes(g, peel(g)) from one pass that counts each round's
+    nodes and builds no decomposition.
+
+    A removed node's degree drops to 0, which marks it gone: each round
+    marks its nodes first, so a node whose only live neighbour goes in
+    the same round (the other end of a two-node pair) finds none left
+    and lowers no degree.
+    """
+    adj = g.adj
+    deg = list(map(len, adj))
+    frontier = [v for v, d in enumerate(deg) if d == 1]
+    round0 = len(frontier)
+    two_node_components = sum(deg[adj[v][0]] == 1 for v in frontier) // 2
+    sizes = []
+    while frontier:
+        this_round = [v for v in frontier if deg[v] == 1]
+        if not this_round:
+            break
+        for v in this_round:
+            deg[v] = 0
+        frontier = []
+        for v in this_round:
+            for w in adj[v]:
+                if deg[w]:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        frontier.append(w)
+                    break
+        sizes.append(len(this_round))
+    fractions = [size / g.n for size in sizes]
+    return g.n - round0, g.m - round0 + two_node_components, fractions
+
+
 def peel_diagnostics(g: Graph) -> PeelReport:
     """Summarize one round of peeling and the full decomposition.
 

@@ -53,8 +53,10 @@ class _Peeled:
     below a kept node.  T[v] counts the nodes below v, Q[v] sums the
     squares of v's child-subtree sizes, and comp_size[v] is the size, in
     g, of v's component (set where the closed form needs it).  inner
-    lists the removed nodes with T > 0.  decomp is the full peel, handed
-    on in BcResult.peeled so the record need not peel.
+    lists the removed nodes with T > 0.  decomp is the full peel when
+    the set-up ran one (the 2-core path), handed on in BcResult.peeled
+    so the run record need not count the rounds again; the one-round
+    set-up needs only degrees and leaves it None.
 
     After one round, sub can keep degree-1 nodes: a kept node whose
     other neighbours were all removed.  The exact runs hand them to the
@@ -69,24 +71,25 @@ class _Peeled:
     weight: list[float]
     comp_size: list[int]
     inner: list[int]
-    decomp: PeelDecomposition
+    decomp: PeelDecomposition | None
 
 
-def _set_up(g: Graph, decomp: PeelDecomposition, keep, T: list[int],
+def _set_up(g: Graph, decomp: PeelDecomposition | None, keep, T: list[int],
             Q: list[int], inner: list[int]) -> _Peeled:
     """Build the kept subgraph and size each component as the sum of
     1 + T over its kept nodes (the kept nodes of a component of g stay
     connected, and the rest hang below them); a removed node's component
-    is its parent's, so sizes pass down inner from the innermost round
-    outward."""
+    is its parent's (its pendant anchor in decomp), so sizes pass down
+    inner from the innermost round outward."""
     sub, kept = g.subgraph(keep)
     comp_id, sizes = sub.component_ids(weight=[1 + T[v] for v in kept])
     comp_size = [0] * g.n
     for v, c in zip(kept, comp_id):
         comp_size[v] = sizes[c]
-    parent = decomp.pendant_anchor
-    for v in reversed(inner):
-        comp_size[v] = comp_size[parent[v]]
+    if inner:
+        parent = decomp.pendant_anchor
+        for v in reversed(inner):
+            comp_size[v] = comp_size[parent[v]]
     weight = [1.0 + T[v] for v in kept]
     return _Peeled(kept=kept, T=T, Q=Q, sub=sub, weight=weight,
                    comp_size=comp_size, inner=inner, decomp=decomp)
@@ -94,11 +97,17 @@ def _set_up(g: Graph, decomp: PeelDecomposition, keep, T: list[int],
 
 def _one_round(g: Graph) -> _Peeled:
     """One peeling round: keep every node of degree != 1.  A kept node
-    holds only its degree-1 neighbours, so T = Q = deg1.  A two-node
-    component has no kept node; both of its nodes score 0."""
-    decomp = peel(g)
-    keep = [v for v, nbrs in enumerate(g.adj) if len(nbrs) != 1]
-    return _set_up(g, decomp, keep, decomp.deg1, decomp.deg1, [])
+    holds only its degree-1 neighbours, so T = Q = deg1, counted from
+    degrees alone.  A two-node component has no kept node; both of its
+    nodes score 0."""
+    deg1 = [0] * g.n
+    keep = []
+    for v, nbrs in enumerate(g.adj):
+        if len(nbrs) == 1:
+            deg1[nbrs[0]] += 1
+        else:
+            keep.append(v)
+    return _set_up(g, None, keep, deg1, deg1, [])
 
 
 def _full_peel(g: Graph) -> _Peeled:
@@ -191,8 +200,7 @@ def bc_one_round_mem(g: Graph, threads: int = 1) -> BcResult:
     start = perf_counter()
     one = _one_round(g)
     bc = _peeled_scores(g, one, threads=threads)
-    return BcResult(bc=bc, algorithm="peel1-mem", elapsed=perf_counter() - start,
-                    peeled=one.decomp)
+    return BcResult(bc=bc, algorithm="peel1-mem", elapsed=perf_counter() - start)
 
 
 def bc_via_2core_recurrence(g: Graph, threads: int = 1) -> BcResult:

@@ -93,7 +93,7 @@ def sample_bc_peeled(g: Graph, cfg: SampleConfig) -> BcResult:
         pivots = random.Random(seed).sample(range(nt), k)
         bc = _peeled_scores(g, one, pivots, nt / k)
     return BcResult(bc=bc, algorithm="sample-peeled", k=k, seed=seed,
-                    elapsed=perf_counter() - start, peeled=one.decomp)
+                    elapsed=perf_counter() - start)
 
 
 def recommended_pivots(n_tilde, epsilon: float) -> int:

@@ -11,6 +11,11 @@ import pytest
 from peelbc import Graph, random_graph_with_pendants
 
 
+TWO_NODE_AND_ISOLATED = Graph.from_edges(
+    8, [(0, 1), (2, 3), (3, 4), (4, 2), (4, 5)]  # 0-1 alone; 6 and 7 isolated
+)
+
+
 def corpus_graph(seed: int) -> Graph:
     """Seeded random graph: ER base n in [5,60], p in [0.05,0.3], 0-3 pendants per node."""
     rng = random.Random(1000 + seed)

@@ -28,6 +28,7 @@ from peelbc import (
     load_fixture,
     oracle_bc,
     oracle_sigma,
+    peel,
     peel_diagnostics,
     sample_bc_baseline,
     sample_bc_peeled,
@@ -141,7 +142,8 @@ def test_criterion_4_zeta_correctness(full_corpus):
         nt = one.sub.n
         if nt == 0:
             continue
-        deg1_sub = [one.decomp.deg1[v] for v in one.kept]
+        deg1 = peel(g).deg1
+        deg1_sub = [deg1[v] for v in one.kept]
         dist, sigma = oracle_sigma(one.sub)
         sigma_f = sigma.astype(float)
         safe = np.where(sigma > 0, sigma_f, 1.0)

@@ -10,7 +10,8 @@ import pytest
 
 import peelbc.cli
 import peelbc.peeling
-from peelbc import BcResult, Graph, fixture_path, load_matrix_market, peel_diagnostics
+from peelbc import (BcResult, Graph, fixture_names, fixture_path, load_matrix_market,
+                    peel_diagnostics)
 from peelbc.cli import (
     DEFAULT_K_GRID,
     DEFAULT_V1_GRID,
@@ -284,17 +285,25 @@ def reference_label_order(g: Graph) -> list[int]:
     ["5", "05", "+5", "-3", " 7", "1_000", "\u0663", "3", "-3"],
     ["b", "a", "10", "9", "a"],
     [],
+    # a permutation of a contiguous range: each node goes to its slot
+    ["3", "0", "5", "1", "4", "2"],
+    ["17", "10", "19", "13", "11", "16", "18", "12", "15", "14"],
+    ["0", "-2", "1", "-1"],
+    ["7"],
+    # not one: a gap, and a duplicate that makes up the count for a gap
+    ["3", "0", "1", "4"],
+    ["0", "1", "3", "03"],
 ])
 def test_label_order_matches_per_label_keys(labels):
     g = Graph([[] for _ in labels], labels)
-    assert label_order(g) == reference_label_order(g)
+    assert label_order(list(map(str, g.labels))) == reference_label_order(g)
 
 
 def test_label_order_of_mtx_int_labels():
     g = load_matrix_market(
         b"%%MatrixMarket matrix coordinate pattern general\n12 12 2\n12 1\n3 10\n")
     assert g.labels == list(range(1, 13))
-    assert label_order(g) == reference_label_order(g) == list(range(12))
+    assert label_order(list(map(str, g.labels))) == reference_label_order(g) == list(range(12))
 
 
 class TestSample:
@@ -420,39 +429,67 @@ class TestRunRecord:
             assert (run["n_tilde"], run["m_tilde"]) == (report.n_tilde, report.m_tilde)
             assert run["round_fractions"] == report.round_fractions
 
-    @pytest.mark.parametrize("argv, fmt, peels", [
-        (["exact", "--algorithm", "peel1", "--threads", "1"], "json", 1),
-        (["exact", "--algorithm", "brandes", "--threads", "1"], "json", 1),
-        (["sample", "--method", "peeled", "--k", "5"], "json", 1),
-        (["sample", "--method", "peeled", "--k", "62"], "json", 1),
-        (["exact", "--algorithm", "peel1", "--threads", "1"], "csv", 1),
-        (["exact", "--algorithm", "brandes", "--threads", "1"], "csv", 0),
-        (["sample", "--method", "peeled", "--k", "5"], "csv", 1),
-        (["sample", "--method", "baseline", "--k", "5"], "csv", 0),
-    ], ids=["peel1", "brandes", "peeled", "peeled-exact",
+    @pytest.mark.parametrize("argv, fmt, peels, counts", [
+        (["exact", "--algorithm", "peel1", "--threads", "1"], "json", 0, 1),
+        (["exact", "--algorithm", "brandes", "--threads", "1"], "json", 0, 1),
+        (["sample", "--method", "peeled", "--k", "5"], "json", 0, 1),
+        (["sample", "--method", "peeled", "--k", "62"], "json", 0, 1),
+        (["sample", "--method", "baseline", "--k", "5"], "json", 0, 1),
+        (["exact", "--algorithm", "2core-recurrence", "--threads", "1"], "json", 1, 0),
+        (["exact", "--algorithm", "peel1", "--threads", "1"], "csv", 0, 0),
+        (["exact", "--algorithm", "brandes", "--threads", "1"], "csv", 0, 0),
+        (["sample", "--method", "peeled", "--k", "5"], "csv", 0, 0),
+        (["sample", "--method", "baseline", "--k", "5"], "csv", 0, 0),
+    ], ids=["peel1", "brandes", "peeled", "peeled-exact", "baseline", "2core",
             "peel1-csv", "brandes-csv", "peeled-csv", "baseline-csv"])
-    def test_one_peel_per_call(self, argv, fmt, peels, monkeypatch, tmp_path):
-        """A JSON run record reuses the algorithm's peel, and a call that
-        ran none (brandes) peels once for it; a CSV file has no record,
-        so its call peels only as often as its algorithm does."""
-        calls = []
-        real = peelbc.graph.peel
+    def test_one_peel_per_call(self, argv, fmt, peels, counts, monkeypatch, tmp_path):
+        """Only the 2-core path runs a full peel, and its JSON run record
+        reuses it.  Every other JSON call (one-round set-ups need only
+        degrees) counts the peel's rounds once for its record; a CSV
+        file has no record, so its call counts none."""
+        calls = {"peel": 0, "peel_counts": 0}
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def spy(name, modules):
+            real = getattr(peelbc.graph, name)
 
-        monkeypatch.setattr(peelbc.cli, "peel", spy)
-        monkeypatch.setattr(peelbc.peeling, "peel", spy)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            for module in modules:
+                monkeypatch.setattr(module, name, counted)
+
+        spy("peel", [peelbc.graph, peelbc.peeling])
+        spy("peel_counts", [peelbc.graph, peelbc.cli])
         out = tmp_path / "scores"
         assert main([argv[0], DOLPHINS, *argv[1:], "--format", fmt,
                      "--out", str(out)]) == 0
-        assert len(calls) == peels
+        assert calls == {"peel": peels, "peel_counts": counts}
         if fmt == "json":
             run = json.loads(out.read_text())["run"]
             report = peel_diagnostics(peelbc.cli.read_graph(DOLPHINS))
             assert (run["n_tilde"], run["m_tilde"]) == (report.n_tilde, report.m_tilde)
             assert run["round_fractions"] == report.round_fractions
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_record_matches_stats_on_every_fixture(self, name, tmp_path):
+        """Whichever way a call gets its peel statistics (the 2-core
+        path's full peel or a count of the rounds), its JSON record
+        carries what `stats` reports."""
+        path = str(fixture_path(name))
+        out = tmp_path / "out.json"
+        assert main(["stats", path, "--format", "json", "--out", str(out)]) == 0
+        stats = json.loads(out.read_text())
+        fields = ("n_tilde", "m_tilde", "round_fractions")
+        for argv in (["exact", "--algorithm", "brandes", "--threads", "2"],
+                     ["exact", "--algorithm", "peel1", "--threads", "2"],
+                     ["exact", "--algorithm", "2core-recurrence", "--threads", "2"],
+                     ["sample", "--method", "peeled", "--k", "10"],
+                     ["sample", "--method", "baseline", "--k", "10"]):
+            assert main([argv[0], path, *argv[1:], "--format", "json",
+                         "--out", str(out)]) == 0
+            run = json.loads(out.read_text())["run"]
+            assert [run[f] for f in fields] == [stats[f] for f in fields], argv
 
 
 class TestBench:

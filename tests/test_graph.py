@@ -21,9 +21,10 @@ from peelbc import (
     write_edge_list,
 )
 
-from peelbc.graph import MAX_DECLARED_NODES
+from peelbc.graph import MAX_DECLARED_NODES, peel_counts, peel_sizes
 
-from conftest import corpus_graph
+from conftest import (TWO_NODE_AND_ISOLATED, corpus, corpus_graph, path_graph,
+                      peeling_cases)
 
 
 def edge_label_set(g: Graph) -> set[frozenset]:
@@ -383,6 +384,30 @@ class TestPeel:
         for v in range(g.n):
             expected = sum(1 for w in g.adj[v] if g.degree(w) == 1)
             assert decomp.deg1[v] == expected
+
+
+class TestPeelCounts:
+    """peel_counts gives the run record's peel statistics without the
+    full peel; peel_sizes of the full peel is the reference."""
+
+    def test_matches_full_peel(self):
+        for g in corpus(200) + peeling_cases():
+            assert peel_counts(g) == peel_sizes(g, peel(g))
+
+    @pytest.mark.parametrize("g, sizes", [
+        (TWO_NODE_AND_ISOLATED, (5, 3, [3 / 8])),
+        (Graph.from_edges(0, []), (0, 0, [])),
+        (Graph.from_edges(5, [(0, i) for i in range(1, 5)]), (1, 0, [0.8])),
+        (path_graph(5), (3, 2, [0.4, 0.4])),
+        (path_graph(7), (5, 4, [2 / 7, 2 / 7, 2 / 7])),
+        # nodes whose anchor goes in the same round: a lone edge in
+        # round 0, and a path whose last round is such a pair
+        (Graph.from_edges(2, [(0, 1)]), (0, 0, [1.0])),
+        (path_graph(6), (4, 3, [1 / 3, 1 / 3, 1 / 3])),
+    ], ids=["two-node-and-isolated", "empty", "star4", "path5", "path7",
+            "edge", "pair-last"])
+    def test_small_cases(self, g, sizes):
+        assert peel_counts(g) == sizes == peel_sizes(g, peel(g))
 
 
 class TestPeelDiagnostics:

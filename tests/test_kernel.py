@@ -35,6 +35,7 @@ from peelbc import (
     bc_via_2core_recurrence,
     brandes_exact,
     load_fixture,
+    peel,
     sample_bc_baseline,
     sample_bc_peeled,
     source_dependency,
@@ -144,26 +145,28 @@ def ref_baseline(g: Graph, cfg: SampleConfig) -> list[float]:
     return [x * scale for x in acc]
 
 
-def _pendant_terms(g: Graph, one, acc: list[float]) -> list[float]:
+def _pendant_terms(g: Graph, one, deg1: list[int], acc: list[float]) -> list[float]:
     bc = [0.0] * g.n
     norm = _normalizer(g.n)
     comp, sizes = g.component_ids()
     for idx, u in enumerate(one.kept):
-        d1 = one.decomp.deg1[u]
+        d1 = deg1[u]
         bc[u] = (acc[idx] + d1 * (2 * sizes[comp[u]] - 3 - d1)) / norm
     return bc
 
 
 def ref_one_round(g: Graph, k: int | None = None, seed: int | None = None):
     """Exact when k is None or reaches the survivor count; otherwise k
-    pivots drawn as sample_bc_peeled draws them, rescaled by nt/k."""
+    pivots drawn as sample_bc_peeled draws them, rescaled by nt/k.  The
+    deg1 counts come from the full peel, not from the set-up's T."""
     one = _one_round(g)
     nt = len(one.kept)
     sampled = k is not None and k < nt
     sources = random.Random(seed).sample(range(nt), k) if sampled else range(nt)
     if g.n <= 2:
         return [0.0] * g.n
-    deg1_sub = [one.decomp.deg1[orig] for orig in one.kept]
+    deg1 = peel(g).deg1
+    deg1_sub = [deg1[orig] for orig in one.kept]
     acc = [0.0] * nt
     for s in sources:
         delta, zeta = ref_delta_zeta(one.sub, s, deg1_sub)
@@ -173,7 +176,7 @@ def ref_one_round(g: Graph, k: int | None = None, seed: int | None = None):
                 acc[w] += weight * (delta[w] + zeta[w])
     if sampled:
         acc = [x * (nt / k) for x in acc]
-    return _pendant_terms(g, one, acc)
+    return _pendant_terms(g, one, deg1, acc)
 
 
 def ulps(a: float, b: float) -> int:
@@ -214,7 +217,8 @@ def test_source_dependency_and_delta_zeta_match_reference(graphs):
         for s in range(g.n):
             assert source_dependency(g, s) == ref_delta_zeta(g, s, [0] * g.n)[0]
         one = _one_round(g)
-        deg1_sub = [one.decomp.deg1[orig] for orig in one.kept]
+        deg1 = peel(g).deg1
+        deg1_sub = [deg1[orig] for orig in one.kept]
         for s in range(one.sub.n):
             got = accumulate_delta_zeta(one.sub, s, deg1_sub)
             assert got == ref_delta_zeta(one.sub, s, deg1_sub)

@@ -9,12 +9,14 @@ from peelbc import (
     brandes_exact,
     oracle_bc,
     oracle_sigma,
+    peel,
     sssp_bfs,
 )
 from peelbc.exact import FORK_MIN_WORK, pair_counts_through, pendant_anchors
 from peelbc.peeling import _full_peel, _one_round
 
 from conftest import (
+    TWO_NODE_AND_ISOLATED,
     all_reaped,
     corpus_graph,
     er_with_exact_pendants,
@@ -66,22 +68,19 @@ def one_round_parts(g: Graph):
     return one, deg1_sub
 
 
-TWO_NODE_AND_ISOLATED = Graph.from_edges(
-    8, [(0, 1), (2, 3), (3, 4), (4, 2), (4, 5)]  # 0-1 alone; 6 and 7 isolated
-)
-
-
 def test_one_round_matches_degree_definitions():
     from conftest import corpus
 
     for g in corpus(200) + [TWO_NODE_AND_ISOLATED, star(4), Graph.from_edges(0, [])]:
         one = _one_round(g)
+        decomp = peel(g)
         deg = [len(g.adj[v]) for v in range(g.n)]
-        round0 = one.decomp.rounds[0] if one.decomp.rounds else []
+        round0 = decomp.rounds[0] if decomp.rounds else []
         assert round0 == [v for v in range(g.n) if deg[v] == 1]
         assert one.kept == [v for v in range(g.n) if deg[v] != 1]
         assert one.T == one.Q == [sum(1 for w in g.adj[v] if deg[w] == 1)
                                   for v in range(g.n)]
+        assert one.T == decomp.deg1
 
 
 class TestAccumulateDeltaZeta:
