@@ -22,7 +22,6 @@ from .graph import (
     Graph,
     peel_counts,
     peel_diagnostics,
-    peel_sizes,
     read_graph,
     write_edge_list,
 )
@@ -89,15 +88,11 @@ def _run_record(dataset: str, g: Graph, result: BcResult,
                 rel_l1: float | None, timing: bool) -> dict:
     """The "run" object of a JSON score file.
 
-    Its peel statistics come from the full peel the algorithm ran, or
-    from a pass here that counts the peel's rounds when it ran none.
+    Its peel statistics come from a pass that counts the peel's rounds.
     elapsed is included only with timing, keeping default outputs
     byte-reproducible.
     """
-    if result.peeled is None:
-        n_tilde, m_tilde, fractions = peel_counts(g)
-    else:
-        n_tilde, m_tilde, fractions = peel_sizes(g, result.peeled)
+    n_tilde, m_tilde, fractions = peel_counts(g)
     run = {
         "dataset": dataset,
         "algorithm": result.algorithm,

@@ -24,7 +24,7 @@ from itertools import repeat
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-from .graph import Graph, PeelDecomposition
+from .graph import Graph
 
 if TYPE_CHECKING:
     import numpy as np
@@ -77,10 +77,6 @@ class BcResult:
     """Per-node betweenness scores plus run metadata.
 
     k is None for exact runs; elapsed is wall time of the compute call.
-    peeled is the full peel of the input graph when the algorithm ran
-    one (only the 2-core path does), so the run record of a JSON score
-    file reuses it instead of counting the peel's rounds; it is never
-    serialized.
     """
 
     bc: list[float]
@@ -88,7 +84,6 @@ class BcResult:
     k: int | None = None
     seed: int | None = None
     elapsed: float = 0.0
-    peeled: PeelDecomposition | None = field(default=None, repr=False, compare=False)
 
 
 def sssp_bfs(g: Graph, s: int) -> SsspTree:

@@ -370,7 +370,8 @@ def peel(g: Graph) -> PeelDecomposition:
     Each round removes every current degree-1 node at once and records
     its unique neighbor at removal time in pendant_anchor (for a
     two-node component, the nodes anchor each other).  Degree-0 nodes
-    are never removed.
+    are never removed.  peel_counts repeats this round loop without the
+    decomposition; a change to the rule here must be made there too.
     """
     n = g.n
     adj = g.adj
@@ -457,7 +458,8 @@ def peel_counts(g: Graph) -> tuple[int, int, list[float]]:
     A removed node's degree drops to 0, which marks it gone: each round
     marks its nodes first, so a node whose only live neighbour goes in
     the same round (the other end of a two-node pair) finds none left
-    and lowers no degree.
+    and lowers no degree.  Its round loop is peel's and must track it;
+    TestPeelCounts compares the two.
     """
     adj = g.adj
     deg = list(map(len, adj))

@@ -23,7 +23,7 @@ from time import perf_counter
 
 from .exact import (BcResult, _normalizer, accumulate, accumulate_chunked,
                     pendant_anchors)
-from .graph import Graph, PeelDecomposition, peel
+from .graph import Graph, peel
 
 
 def accumulate_delta_zeta(
@@ -53,10 +53,7 @@ class _Peeled:
     below a kept node.  T[v] counts the nodes below v, Q[v] sums the
     squares of v's child-subtree sizes, and comp_size[v] is the size, in
     g, of v's component (set where the closed form needs it).  inner
-    lists the removed nodes with T > 0.  decomp is the full peel when
-    the set-up ran one (the 2-core path), handed on in BcResult.peeled
-    so the run record need not count the rounds again; the one-round
-    set-up needs only degrees and leaves it None.
+    lists the removed nodes with T > 0.
 
     After one round, sub can keep degree-1 nodes: a kept node whose
     other neighbours were all removed.  The exact runs hand them to the
@@ -71,28 +68,25 @@ class _Peeled:
     weight: list[float]
     comp_size: list[int]
     inner: list[int]
-    decomp: PeelDecomposition | None
 
 
-def _set_up(g: Graph, decomp: PeelDecomposition | None, keep, T: list[int],
+def _set_up(g: Graph, parent: dict[int, int], keep, T: list[int],
             Q: list[int], inner: list[int]) -> _Peeled:
     """Build the kept subgraph and size each component as the sum of
     1 + T over its kept nodes (the kept nodes of a component of g stay
     connected, and the rest hang below them); a removed node's component
-    is its parent's (its pendant anchor in decomp), so sizes pass down
-    inner from the innermost round outward."""
+    is its parent's, so sizes pass down inner from the innermost round
+    outward."""
     sub, kept = g.subgraph(keep)
     comp_id, sizes = sub.component_ids(weight=[1 + T[v] for v in kept])
     comp_size = [0] * g.n
     for v, c in zip(kept, comp_id):
         comp_size[v] = sizes[c]
-    if inner:
-        parent = decomp.pendant_anchor
-        for v in reversed(inner):
-            comp_size[v] = comp_size[parent[v]]
+    for v in reversed(inner):
+        comp_size[v] = comp_size[parent[v]]
     weight = [1.0 + T[v] for v in kept]
     return _Peeled(kept=kept, T=T, Q=Q, sub=sub, weight=weight,
-                   comp_size=comp_size, inner=inner, decomp=decomp)
+                   comp_size=comp_size, inner=inner)
 
 
 def _one_round(g: Graph) -> _Peeled:
@@ -107,7 +101,7 @@ def _one_round(g: Graph) -> _Peeled:
             deg1[nbrs[0]] += 1
         else:
             keep.append(v)
-    return _set_up(g, None, keep, deg1, deg1, [])
+    return _set_up(g, {}, keep, deg1, deg1, [])
 
 
 def _full_peel(g: Graph) -> _Peeled:
@@ -133,7 +127,7 @@ def _full_peel(g: Graph) -> _Peeled:
             size = 1 + T[v]
             T[p] += size
             Q[p] += size * size
-    return _set_up(g, decomp, decomp.core_nodes + roots, T, Q, inner)
+    return _set_up(g, parent, decomp.core_nodes + roots, T, Q, inner)
 
 
 def _add_pendant_terms(bc: list[float], one: _Peeled, acc: list[float]) -> None:
@@ -216,4 +210,4 @@ def bc_via_2core_recurrence(g: Graph, threads: int = 1) -> BcResult:
     one = _full_peel(g)
     bc = _peeled_scores(g, one, threads=threads)
     return BcResult(bc=bc, algorithm="2core-recurrence",
-                    elapsed=perf_counter() - start, peeled=one.decomp)
+                    elapsed=perf_counter() - start)

@@ -435,7 +435,7 @@ class TestRunRecord:
         (["sample", "--method", "peeled", "--k", "5"], "json", 0, 1),
         (["sample", "--method", "peeled", "--k", "62"], "json", 0, 1),
         (["sample", "--method", "baseline", "--k", "5"], "json", 0, 1),
-        (["exact", "--algorithm", "2core-recurrence", "--threads", "1"], "json", 1, 0),
+        (["exact", "--algorithm", "2core-recurrence", "--threads", "1"], "json", 1, 1),
         (["exact", "--algorithm", "peel1", "--threads", "1"], "csv", 0, 0),
         (["exact", "--algorithm", "brandes", "--threads", "1"], "csv", 0, 0),
         (["sample", "--method", "peeled", "--k", "5"], "csv", 0, 0),
@@ -443,10 +443,10 @@ class TestRunRecord:
     ], ids=["peel1", "brandes", "peeled", "peeled-exact", "baseline", "2core",
             "peel1-csv", "brandes-csv", "peeled-csv", "baseline-csv"])
     def test_one_peel_per_call(self, argv, fmt, peels, counts, monkeypatch, tmp_path):
-        """Only the 2-core path runs a full peel, and its JSON run record
-        reuses it.  Every other JSON call (one-round set-ups need only
-        degrees) counts the peel's rounds once for its record; a CSV
-        file has no record, so its call counts none."""
+        """Only the 2-core path runs a full peel (one-round set-ups need
+        only degrees).  Every JSON call counts the peel's rounds once for
+        its run record; a CSV file has no record, so its call counts
+        none."""
         calls = {"peel": 0, "peel_counts": 0}
 
         def spy(name, modules):
@@ -473,17 +473,16 @@ class TestRunRecord:
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_record_matches_stats_on_every_fixture(self, name, tmp_path):
-        """Whichever way a call gets its peel statistics (the 2-core
-        path's full peel or a count of the rounds), its JSON record
-        carries what `stats` reports."""
+        """Every scoring call's JSON record carries the peel statistics
+        that `stats` reports."""
         path = str(fixture_path(name))
         out = tmp_path / "out.json"
         assert main(["stats", path, "--format", "json", "--out", str(out)]) == 0
         stats = json.loads(out.read_text())
         fields = ("n_tilde", "m_tilde", "round_fractions")
-        for argv in (["exact", "--algorithm", "brandes", "--threads", "2"],
-                     ["exact", "--algorithm", "peel1", "--threads", "2"],
-                     ["exact", "--algorithm", "2core-recurrence", "--threads", "2"],
+        for argv in (["exact", "--algorithm", "brandes", "--threads", "1"],
+                     ["exact", "--algorithm", "peel1", "--threads", "1"],
+                     ["exact", "--algorithm", "2core-recurrence", "--threads", "1"],
                      ["sample", "--method", "peeled", "--k", "10"],
                      ["sample", "--method", "baseline", "--k", "10"]):
             assert main([argv[0], path, *argv[1:], "--format", "json",
